@@ -1,9 +1,17 @@
 """Reverse-mode differentiation on numpy arrays.
 
-A ``Node`` wraps a float64 array plus a backward closure; ``backward`` on a
+A ``Node`` wraps a float64 array plus a backward rule; ``backward`` on a
 scalar root walks the tape once in reverse topological order.  Tapes are
 single-shot: running backward over nodes that already took part in a
 backward pass raises ``TapeReuseError``.  Build a fresh graph per step.
+
+A rule is called as ``node._backward(node.grad)``: it receives the output
+gradient and adds into its parents' gradients.  Rules capture their parents
+and the arrays they need, never their own output node, and leaves carry no
+rule (``None``), so the tape holds no reference cycle and a dropped graph is
+freed by reference counting alone.  Gradients are lazy: a node allocates no
+buffer until the first gradient reaches it, rules run only on nodes that
+received one, and reading ``.grad`` on an untouched node gives zeros.
 
 The operator set is the minimum needed by the window-transform layer and
 the rankers: broadcast arithmetic, matmul, activations, softmax, reductions,
@@ -51,17 +59,37 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Node:
     """One tape entry: a float64 array, its gradient, and a backward rule."""
 
-    __slots__ = ("value", "grad", "_backward", "_parents", "_spent")
+    __slots__ = ("value", "_grad", "_backward", "_parents", "_spent")
 
     # make numpy defer ndarray-on-the-left arithmetic to our reflected ops
     __array_ufunc__ = None
 
     def __init__(self, value, parents: tuple["Node", ...] = ()):
         self.value = _as_array(value)
-        self.grad = np.zeros_like(self.value)
-        self._backward = lambda: None
+        self._grad = None
+        self._backward = None
         self._parents = parents
         self._spent = False
+
+    @property
+    def grad(self) -> np.ndarray:
+        """Accumulated gradient; zeros until a gradient reaches the node."""
+        if self._grad is None:
+            self._grad = np.zeros_like(self.value)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._grad = value
+
+    def _add_grad(self, grad: np.ndarray) -> None:
+        # the first contribution is copied: it may alias another node's buffer
+        if self._grad is None:
+            if grad.shape != self.value.shape:
+                grad = np.broadcast_to(grad, self.value.shape)
+            self._grad = np.array(grad, dtype=np.float64)
+        else:
+            self._grad += grad
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -96,9 +124,10 @@ class Node:
                 )
         for node in topo:
             node._spent = True
-        self.grad = np.ones_like(self.value)
+        self._grad = np.ones_like(self.value)
         for node in reversed(topo):
-            node._backward()
+            if node._backward is not None and node._grad is not None:
+                node._backward(node._grad)
 
     # -- broadcast arithmetic -------------------------------------------
 
@@ -106,9 +135,9 @@ class Node:
         other = other if isinstance(other, Node) else Node(other)
         out = Node(self.value + other.value, (self, other))
 
-        def _backward():
-            self.grad += _unbroadcast(out.grad, self.shape)
-            other.grad += _unbroadcast(out.grad, other.shape)
+        def _backward(g):
+            self._add_grad(_unbroadcast(g, self.shape))
+            other._add_grad(_unbroadcast(g, other.shape))
 
         out._backward = _backward
         return out
@@ -117,9 +146,9 @@ class Node:
         other = other if isinstance(other, Node) else Node(other)
         out = Node(self.value * other.value, (self, other))
 
-        def _backward():
-            self.grad += _unbroadcast(other.value * out.grad, self.shape)
-            other.grad += _unbroadcast(self.value * out.grad, other.shape)
+        def _backward(g):
+            self._add_grad(_unbroadcast(other.value * g, self.shape))
+            other._add_grad(_unbroadcast(self.value * g, other.shape))
 
         out._backward = _backward
         return out
@@ -130,10 +159,10 @@ class Node:
             raise DomainError("division by zero")
         out = Node(self.value / other.value, (self, other))
 
-        def _backward():
-            self.grad += _unbroadcast(out.grad / other.value, self.shape)
-            other.grad += _unbroadcast(
-                -self.value / (other.value**2) * out.grad, other.shape
+        def _backward(g):
+            self._add_grad(_unbroadcast(g / other.value, self.shape))
+            other._add_grad(
+                _unbroadcast(-self.value / (other.value**2) * g, other.shape)
             )
 
         out._backward = _backward
@@ -144,8 +173,8 @@ class Node:
             raise TypeError("only scalar exponents are supported")
         out = Node(self.value**exponent, (self,))
 
-        def _backward():
-            self.grad += exponent * self.value ** (exponent - 1) * out.grad
+        def _backward(g):
+            self._add_grad(exponent * self.value ** (exponent - 1) * g)
 
         out._backward = _backward
         return out
@@ -176,9 +205,9 @@ class Node:
             raise ValueError("matmul expects 2-D operands")
         out = Node(self.value @ other.value, (self, other))
 
-        def _backward():
-            self.grad += out.grad @ other.value.T
-            other.grad += self.value.T @ out.grad
+        def _backward(g):
+            self._add_grad(g @ other.value.T)
+            other._add_grad(self.value.T @ g)
 
         out._backward = _backward
         return out
@@ -191,8 +220,8 @@ class Node:
             raise ValueError("transpose expects a 2-D operand")
         out = Node(self.value.T, (self,))
 
-        def _backward():
-            self.grad += out.grad.T
+        def _backward(g):
+            self._add_grad(g.T)
 
         out._backward = _backward
         return out
@@ -204,8 +233,8 @@ class Node:
     def reshape(self, *shape) -> "Node":
         out = Node(self.value.reshape(*shape), (self,))
 
-        def _backward():
-            self.grad += out.grad.reshape(self.shape)
+        def _backward(g):
+            self._add_grad(g.reshape(self.shape))
 
         out._backward = _backward
         return out
@@ -213,10 +242,11 @@ class Node:
     # -- activations -------------------------------------------------------
 
     def exp(self) -> "Node":
-        out = Node(np.exp(self.value), (self,))
+        e = np.exp(self.value)
+        out = Node(e, (self,))
 
-        def _backward():
-            self.grad += out.value * out.grad
+        def _backward(g):
+            self._add_grad(e * g)
 
         out._backward = _backward
         return out
@@ -226,20 +256,18 @@ class Node:
             raise DomainError("log of a nonpositive value")
         out = Node(np.log(self.value), (self,))
 
-        def _backward():
-            self.grad += out.grad / self.value
+        def _backward(g):
+            self._add_grad(g / self.value)
 
         out._backward = _backward
         return out
 
     def sigmoid(self) -> "Node":
-        # stable for both signs of the argument
-        v = self.value
-        s = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))), np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+        s = _sigmoid_value(self.value)
         out = Node(s, (self,))
 
-        def _backward():
-            self.grad += s * (1.0 - s) * out.grad
+        def _backward(g):
+            self._add_grad(s * (1.0 - s) * g)
 
         out._backward = _backward
         return out
@@ -248,8 +276,8 @@ class Node:
         t = np.tanh(self.value)
         out = Node(t, (self,))
 
-        def _backward():
-            self.grad += (1.0 - t * t) * out.grad
+        def _backward(g):
+            self._add_grad((1.0 - t * t) * g)
 
         out._backward = _backward
         return out
@@ -257,8 +285,8 @@ class Node:
     def relu(self) -> "Node":
         out = Node(np.maximum(self.value, 0.0), (self,))
 
-        def _backward():
-            self.grad += (self.value > 0.0) * out.grad
+        def _backward(g):
+            self._add_grad((self.value > 0.0) * g)
 
         out._backward = _backward
         return out
@@ -267,8 +295,8 @@ class Node:
         # log(1 + e^x) without overflow for large |x|
         out = Node(np.logaddexp(0.0, self.value), (self,))
 
-        def _backward():
-            self.grad += _sigmoid_value(self.value) * out.grad
+        def _backward(g):
+            self._add_grad(_sigmoid_value(self.value) * g)
 
         out._backward = _backward
         return out
@@ -279,9 +307,9 @@ class Node:
         p = e / e.sum(axis=axis, keepdims=True)
         out = Node(p, (self,))
 
-        def _backward():
-            inner = (out.grad * p).sum(axis=axis, keepdims=True)
-            self.grad += p * (out.grad - inner)
+        def _backward(g):
+            inner = (g * p).sum(axis=axis, keepdims=True)
+            self._add_grad(p * (g - inner))
 
         out._backward = _backward
         return out
@@ -291,11 +319,10 @@ class Node:
     def sum(self, axis: int | tuple[int, ...] | None = None) -> "Node":
         out = Node(self.value.sum(axis=axis), (self,))
 
-        def _backward():
-            grad = out.grad
+        def _backward(g):
             if axis is not None:
-                grad = np.expand_dims(grad, axis)
-            self.grad += np.broadcast_to(grad, self.shape)
+                g = np.expand_dims(g, axis)
+            self._add_grad(np.broadcast_to(g, self.shape))
 
         out._backward = _backward
         return out
@@ -308,6 +335,7 @@ class Node:
 
 
 def _sigmoid_value(v: np.ndarray) -> np.ndarray:
+    # stable for both signs of the argument
     return np.where(
         v >= 0,
         1.0 / (1.0 + np.exp(-np.abs(v))),
@@ -321,15 +349,17 @@ def _sigmoid_value(v: np.ndarray) -> np.ndarray:
 def concat(nodes: list[Node], axis: int = 0) -> Node:
     if not nodes:
         raise ValueError("concat needs at least one node")
-    out = Node(np.concatenate([n.value for n in nodes], axis=axis), tuple(nodes))
+    value = np.concatenate([n.value for n in nodes], axis=axis)
+    out = Node(value, tuple(nodes))
+    ndim = value.ndim
     sizes = [n.shape[axis] for n in nodes]
     offsets = np.cumsum([0] + sizes)
 
-    def _backward():
+    def _backward(g):
         for node, start, stop in zip(nodes, offsets[:-1], offsets[1:]):
-            index = [slice(None)] * out.value.ndim
+            index = [slice(None)] * ndim
             index[axis] = slice(start, stop)
-            node.grad += out.grad[tuple(index)]
+            node._add_grad(g[tuple(index)])
 
     out._backward = _backward
     return out
@@ -346,8 +376,8 @@ def narrow(node: Node, axis: int, start: int, length: int) -> Node:
     index = tuple(index)
     out = Node(node.value[index].copy(), (node,))
 
-    def _backward():
-        node.grad[index] += out.grad
+    def _backward(g):
+        node.grad[index] += g
 
     out._backward = _backward
     return out
@@ -383,8 +413,8 @@ def dropout(node: Node, rate: float, rng: np.random.Generator) -> Node:
     mask = (rng.uniform(size=node.shape) >= rate) / (1.0 - rate)
     out = Node(node.value * mask, (node,))
 
-    def _backward():
-        node.grad += mask * out.grad
+    def _backward(g):
+        node._add_grad(mask * g)
 
     out._backward = _backward
     return out
@@ -408,13 +438,12 @@ def batch_norm(
     g = gain.value.reshape(mu.shape)
     out = Node(xhat * g + shift.value.reshape(mu.shape), (x, gain, shift))
 
-    def _backward():
-        gy = out.grad
-        gain.grad += (gy * xhat).sum(axis=axes).reshape(gain.shape)
-        shift.grad += gy.sum(axis=axes).reshape(shift.shape)
+    def _backward(gy):
+        gain._add_grad((gy * xhat).sum(axis=axes).reshape(gain.shape))
+        shift._add_grad(gy.sum(axis=axes).reshape(shift.shape))
         gx_hat = gy * g
         # through mean and variance of the batch
-        x.grad += (
+        x._add_grad(
             inv
             / count
             * (
@@ -429,12 +458,19 @@ def batch_norm(
 
 
 def conv1d_causal(x: Node, weights: Node, dilation: int = 1) -> Node:
-    """Dilated causal 1-D convolution.
+    """Dilated causal 1-D convolution as one GEMM over shifted inputs (im2col).
 
     ``x`` is (batch, in_channels, time), ``weights`` is (out_channels,
     in_channels, taps).  Output at time t sums tap i against the input at
     time ``t - dilation*i``; positions before the start read as zero, so the
     output never looks ahead.
+
+    Im2col layout: row ``i*C + c`` of the (used*C, B*T) column matrix is
+    channel c shifted right by ``dilation*i`` and zero-padded, for the
+    ``used`` taps with ``dilation*i < T``; column ``b*T + t`` is one (batch,
+    time) position.  The forward is one GEMM with the (O, used*C) weights; the
+    backward is ``gy @ columns.T`` for the weights and ``weights.T @ gy`` for
+    the columns, scatter-added back into the input tap by tap.
     """
     if x.value.ndim != 3 or weights.value.ndim != 3:
         raise ValueError("conv1d_causal expects (B, C, T) input and (O, C, K) weights")
@@ -444,30 +480,30 @@ def conv1d_causal(x: Node, weights: Node, dilation: int = 1) -> Node:
         )
     if dilation < 1:
         raise ValueError("dilation must be >= 1")
-    batch, _, length = x.shape
+    batch, channels, length = x.shape
     out_channels, _, taps = weights.shape
-    value = np.zeros((batch, out_channels, length), dtype=np.float64)
-    for i in range(taps):
-        offset = dilation * i
-        if offset >= length:
-            break
-        # out[:, :, offset:] += w[:, :, i] . x[:, :, : length-offset]
-        value[:, :, offset:] += np.einsum(
-            "oc,bct->bot", weights.value[:, :, i], x.value[:, :, : length - offset]
-        )
-    out = Node(value, (x, weights))
+    used = min(taps, (length - 1) // dilation + 1)
+    offsets = [dilation * i for i in range(used)]
+    columns = np.zeros((used, channels, batch, length))
+    x_cbt = x.value.transpose(1, 0, 2)
+    for i, offset in enumerate(offsets):
+        columns[i, :, :, offset:] = x_cbt[:, :, : length - offset]
+    columns = columns.reshape(used * channels, batch * length)
+    w_mat = weights.value[:, :, :used].transpose(0, 2, 1).reshape(out_channels, -1)
+    value = (w_mat @ columns).reshape(out_channels, batch, length).transpose(1, 0, 2)
+    out = Node(np.ascontiguousarray(value), (x, weights))
 
-    def _backward():
-        for i in range(taps):
-            offset = dilation * i
-            if offset >= length:
-                break
-            gy = out.grad[:, :, offset:]
-            xs = x.value[:, :, : length - offset]
-            weights.grad[:, :, i] += np.einsum("bot,bct->oc", gy, xs)
-            x.grad[:, :, : length - offset] += np.einsum(
-                "oc,bot->bct", weights.value[:, :, i], gy
-            )
+    def _backward(g):
+        gy = g.transpose(1, 0, 2).reshape(out_channels, batch * length)
+        gw = np.zeros(weights.shape)
+        gw[:, :, :used] = (gy @ columns.T).reshape(out_channels, used, -1).transpose(0, 2, 1)
+        weights._add_grad(gw)
+        g_columns = (w_mat.T @ gy).reshape(used, channels, batch, length)
+        gx = np.zeros(x.shape)
+        gx_cbt = gx.transpose(1, 0, 2)
+        for i, offset in enumerate(offsets):
+            gx_cbt[:, :, : length - offset] += g_columns[i, :, :, offset:]
+        x._add_grad(gx)
 
     out._backward = _backward
     return out
@@ -530,7 +566,7 @@ class Adam:
 
     def zero_grad(self) -> None:
         for p in self.params.values():
-            p.grad = np.zeros_like(p.value)
+            p.grad = None
             p._spent = False
 
 
@@ -585,7 +621,7 @@ def grad_check_params(
     Returns the max relative error |analytic - numeric| / max(1, |numeric|).
     """
     for p in params.values():
-        p.grad = np.zeros_like(p.value)
+        p.grad = None
         p._spent = False
     loss = build_loss()
     if loss.value.size != 1:
@@ -653,4 +689,4 @@ def restore_checkpoint(params: dict[str, Node], path: str) -> None:
         if loaded[name].shape != node.value.shape:
             raise ValueError(f"checkpoint shape mismatch for {name!r}")
         node.value = loaded[name]
-        node.grad = np.zeros_like(node.value)
+        node.grad = None

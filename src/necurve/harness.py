@@ -38,7 +38,7 @@ from necurve.rankers import (
     ce_loss,
     total_loss,
 )
-from necurve.synth import CurvePair, DatasetSplit, ModelRecord, grouped_kfold
+from necurve.synth import CurvePair, DatasetSplit, LabelingError, ModelRecord, grouped_kfold
 
 RANKERS = ("greedy", "siamese", "siamese+act", "r2", "r2+act")
 CRITERIA = ("lne", "wne")
@@ -515,6 +515,13 @@ def evaluate_greedy(pairs: list[CurvePair], fraction: float) -> EvalSlice:
     )
 
 
+def _final_value(record: ModelRecord, criterion: str) -> float:
+    value = record.final_lne if criterion == "lne" else record.final_wne
+    if value is None or not math.isfinite(value):
+        raise LabelingError(f"model {record.model_id} has no finite final {criterion}: {value}")
+    return value
+
+
 def consistency_analysis(records: list[ModelRecord], criterion: str = "wne",
                          fractions=(0.2, 0.4, 0.6, 0.8, 1.0)) -> list[dict]:
     """Greedy-call agreement with final superiority under the chosen
@@ -530,11 +537,8 @@ def consistency_analysis(records: list[ModelRecord], criterion: str = "wne",
         by_job.setdefault(record.job_id, []).append(record)
     pairs = []
     for group in by_job.values():
-        for a, b in combinations(group, 2):
-            fa = a.final_lne if criterion == "lne" else a.final_wne
-            fb = b.final_lne if criterion == "lne" else b.final_wne
-            if fa is None or fb is None:
-                raise ValueError(f"records lack final {criterion} values")
+        finals = [(record, _final_value(record, criterion)) for record in group]
+        for (a, fa), (b, fb) in combinations(finals, 2):
             if fa == fb:
                 continue
             pairs.append(CurvePair(left=a, right=b, label=float(fa < fb)))

@@ -8,8 +8,12 @@ reference script).
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from necurve.autodiff import (
     Adam,
@@ -352,6 +356,27 @@ class TestTapeContract:
         with pytest.raises(ValueError):
             Node(np.ones(3)).backward()
 
+    def test_gradients_are_lazy(self):
+        x = Node(np.ones(3))
+        y = x * 2.0
+        unused = x.exp()
+        assert x._grad is None and y._grad is None
+        y.sum().backward()
+        assert unused._grad is None  # no gradient reached it, so no buffer
+        np.testing.assert_array_equal(unused.grad, np.zeros(3))
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+
+    def test_dropped_graph_is_freed_without_the_collector(self):
+        gc.collect()
+        gc.disable()
+        try:
+            x = Node(np.arange(3.0))
+            (x * 2).sum().backward()
+            del x
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestConvCausality:
     def test_future_perturbation_cannot_reach_past(self):
@@ -373,6 +398,54 @@ class TestConvCausality:
         w = Node(np.ones((1, 1, 3)))
         out = conv1d_causal(Node(x), w, dilation=4).value[0, 0]
         np.testing.assert_array_equal(np.nonzero(out)[0], [0, 4, 8])
+
+
+def reference_conv1d_causal(x, w, dilation, gy):
+    """Per-tap einsum convolution: the value, and the input and weight
+    gradients under the output gradient ``gy``."""
+    length = x.shape[2]
+    value = np.zeros((x.shape[0], w.shape[0], length))
+    gx = np.zeros_like(x)
+    gw = np.zeros_like(w)
+    for i in range(w.shape[2]):
+        offset = dilation * i
+        if offset >= length:
+            break
+        xs = x[:, :, : length - offset]
+        value[:, :, offset:] += np.einsum("oc,bct->bot", w[:, :, i], xs)
+        gw[:, :, i] += np.einsum("bot,bct->oc", gy[:, :, offset:], xs)
+        gx[:, :, : length - offset] += np.einsum("oc,bot->bct", w[:, :, i], gy[:, :, offset:])
+    return value, gx, gw
+
+
+class TestConvReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        batch=st.integers(1, 4),
+        channels=st.integers(1, 4),
+        out_channels=st.integers(1, 4),
+        length=st.integers(1, 12),
+        taps=st.integers(1, 5),
+        dilation=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(batch=2, channels=3, out_channels=2, length=1, taps=3, dilation=1, seed=0)
+    @example(batch=2, channels=3, out_channels=2, length=5, taps=3, dilation=4, seed=1)
+    @example(batch=1, channels=2, out_channels=3, length=4, taps=4, dilation=8, seed=2)
+    def test_matches_per_tap_einsum(
+        self, batch, channels, out_channels, length, taps, dilation, seed
+    ):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(batch, channels, length))
+        w = rng.normal(size=(out_channels, channels, taps))
+        gy = rng.normal(size=(batch, out_channels, length))
+        xn, wn = Node(x), Node(w)
+        out = conv1d_causal(xn, wn, dilation)
+        (out * gy).sum().backward()
+        value, gx, gw = reference_conv1d_causal(x, w, dilation, gy)
+        np.testing.assert_allclose(out.value, value, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(xn.grad, gx, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(wn.grad, gw, rtol=1e-12, atol=1e-12)
 
 
 class TestAdam:

@@ -41,6 +41,7 @@ from necurve.synth import (
     CurvePair,
     DatasetSplit,
     GeneratorConfig,
+    LabelingError,
     ModelRecord,
     generate_dataset,
     grouped_kfold,
@@ -411,6 +412,19 @@ class TestGreedyAndConsistency:
         broken = [replace(r, final_wne=None) for r in records[:4]]
         with pytest.raises(ValueError, match="final"):
             consistency_analysis(broken, criterion="wne", fractions=(0.5,))
+
+    @pytest.mark.parametrize("criterion", ["wne", "lne"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_final_raises_naming_the_model(self, criterion, bad):
+        corpus = generate_dataset(GeneratorConfig(
+            jobs=4, models_per_job=4, curve_length_mean=40.0, curve_length_sd=10.0,
+            examples_per_checkpoint=10, resample_length=20, seed=7,
+        ))
+        target = corpus[len(corpus) // 2]
+        broken = [replace(r, **{f"final_{criterion}": bad}) if r is target else r
+                  for r in corpus]
+        with pytest.raises(LabelingError, match=f"model {target.model_id} "):
+            consistency_analysis(broken, criterion=criterion, fractions=(0.5,))
 
 
 class TestCrossValidate:

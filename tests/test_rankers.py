@@ -9,6 +9,8 @@ against central differences.
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -421,3 +423,56 @@ class TestGradients:
             coords_per_param=3, seed=3,
         )
         assert err < 1e-4
+
+
+def tape_nodes(root: Node) -> list[Node]:
+    seen, stack, nodes = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+class TestTapeMemory:
+    """A dropped step graph is freed by reference counting alone."""
+
+    def model_and_batch(self):
+        rng = np.random.default_rng(40)
+        batch = make_batch(rng, batch=8)
+        mean, sd = training_stats(batch)
+        model = RelativeRanker(small_config(dropout=0.1), domains=batch.domain_ids,
+                               arch_mean=mean, arch_sd=sd)
+        return model, batch
+
+    def test_training_step_leaves_no_cycle(self):
+        model, batch = self.model_and_batch()
+        gc.collect()
+        gc.disable()
+        try:
+            out = model.distance(batch, train=True, rng=np.random.default_rng(0))
+            loss = total_loss(ce_loss(out.delta, batch.labels), out.reconstruction, 0.5)
+            inner = [n for n in tape_nodes(loss) if n._parents]
+            assert len(inner) > 100
+            assert all(n._grad is None for n in inner)  # the forward allocates no gradient
+            del inner
+            loss.backward()
+            del out, loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert any(np.any(p.grad != 0.0) for p in model.params.values())
+
+    def test_eval_forward_leaves_no_cycle(self):
+        model, batch = self.model_and_batch()
+        gc.collect()
+        gc.disable()
+        try:
+            out = model.distance(batch, train=False)
+            assert all(n._grad is None for n in tape_nodes(out.delta))
+            del out
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
