@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from necurve.autodiff import DomainError, Node, concat
+from necurve.autodiff import DomainError, Node, lstm_sequence, narrow
 from necurve.layers import LstmCell
 
 MASK_STRICT = "strict-additive"
@@ -35,10 +35,6 @@ DENOMINATOR_FLOOR = 1e-6
 
 class NumericGuardError(RuntimeError):
     """Soft window collapsed: t - k_hat fell below the safe floor."""
-
-
-class GenerationError(ValueError):
-    pass
 
 
 @dataclass
@@ -333,16 +329,13 @@ class ActLayer:
             self.variables = None
             self.cell = LstmCell(params, f"{name}.rnn", 1, length, rng)
 
-    def _alphas(self, curves: np.ndarray) -> list[Node]:
-        """One recurrence over the batch; entry t is sigmoid(h_t), (B, L)."""
+    def _alphas(self, curves: np.ndarray) -> Node:
+        """One recurrence over the batch: (L, B, L), entry [t] is sigmoid(h_t)."""
         batch, length = curves.shape
-        h = Node(np.zeros((batch, self.length)))
-        c = Node(np.zeros((batch, self.length)))
-        alphas = []
-        for t in range(length):
-            h, c = self.cell.step(Node(curves[:, t : t + 1]), h, c)
-            alphas.append(h.sigmoid())
-        return alphas
+        zeros = Node(np.zeros((batch, self.length)))
+        steps = Node(curves.T.reshape(length, batch, 1))
+        cell = self.cell
+        return lstm_sequence(steps, zeros, zeros, cell.wx, cell.wh, cell.b).sigmoid()
 
     def transform(self, curves: np.ndarray) -> Node:
         """(B, L) raw curve values -> (B, L) soft window means."""
@@ -357,12 +350,14 @@ class ActLayer:
             return window_transform(curves, indicator)
         alphas = self._alphas(curves)
         if self.df == 2:
-            row_logits = concat([alphas[-1]] * length, axis=0)
+            # every position reuses the last step's logits
+            last = narrow(alphas, 0, length - 1, 1)
+            row_logits = (last * np.ones((length, 1, 1))).reshape(length * batch, length)
             row_mask, counts, values = df2_row_masks(curves)
             return _transform_rows(
                 row_logits, row_mask, counts, values, curves, self.gamma, self.mask_mode
             )
-        row_logits = concat(alphas, axis=0)
+        row_logits = alphas.reshape(length * batch, length)
         row_mask = df3_row_mask(length, batch)
         counts = np.broadcast_to(left_positions(length), (length * batch, length))
         values = np.tile(augmented_values(curves), (length, 1))
@@ -376,19 +371,16 @@ class ActLayer:
         curve = np.asarray(curve, dtype=np.float64).reshape(1, -1)
         if self.df == 1:
             return soft_indicator(self.variables, self.gamma, self.mask_mode).matrix.value
-        alphas = self._alphas(curve)
+        alphas = self._alphas(curve).value.reshape(self.length, self.length)
         length = self.length
         if self.df == 2:
-            sizes = df2_indicator(
-                alphas[-1].reshape(length), self.gamma, self.mask_mode
-            ).matrix.value
+            sizes = df2_indicator(Node(alphas[-1]), self.gamma, self.mask_mode).matrix.value
             out = np.zeros((length, length))
             for t in range(1, length + 1):
                 for j in range(1, t + 1):
                     out[t - j, t - 1] += sizes[j - 1, t - 1]
             return out
-        stacked = np.stack([a.value.reshape(length) for a in alphas], axis=1)
-        return soft_indicator(stacked, self.gamma, self.mask_mode).matrix.value
+        return soft_indicator(alphas.T, self.gamma, self.mask_mode).matrix.value
 
 
 def df3_variables(values: np.ndarray, cell: LstmCell) -> WindowVariables:

@@ -336,11 +336,8 @@ class Node:
 
 def _sigmoid_value(v: np.ndarray) -> np.ndarray:
     # stable for both signs of the argument
-    return np.where(
-        v >= 0,
-        1.0 / (1.0 + np.exp(-np.abs(v))),
-        np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))),
-    )
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 # -- structural ops ------------------------------------------------------
@@ -428,13 +425,25 @@ def batch_norm(
     Backward differentiates through the batch statistics (train mode).  The
     caller owns running statistics for eval mode.
     """
+    return _batch_norm(x, gain, shift, axes, eps)[0]
+
+
+def _batch_norm(
+    x: Node, gain: Node, shift: Node, axes: tuple[int, ...], eps: float
+) -> tuple[Node, np.ndarray, np.ndarray]:
+    """``batch_norm`` plus the batch mean and variance (keepdims shape).
+
+    The variance reuses the mean and the centered input; that is the same
+    arithmetic ``np.var`` does, so the statistics are bit-identical to it.
+    """
     count = float(np.prod([x.shape[a] for a in axes]))
     if count < 2:
         raise ValueError("batch norm needs at least 2 elements per feature")
     mu = x.value.mean(axis=axes, keepdims=True)
-    var = x.value.var(axis=axes, keepdims=True)
+    centered = x.value - mu
+    var = (centered * centered).sum(axis=axes, keepdims=True) / count
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.value - mu) * inv
+    xhat = centered * inv
     g = gain.value.reshape(mu.shape)
     out = Node(xhat * g + shift.value.reshape(mu.shape), (x, gain, shift))
 
@@ -454,10 +463,12 @@ def batch_norm(
         )
 
     out._backward = _backward
-    return out
+    return out, mu, var
 
 
-def conv1d_causal(x: Node, weights: Node, dilation: int = 1) -> Node:
+def conv1d_causal(
+    x: Node, weights: Node, dilation: int = 1, bias: Node | None = None
+) -> Node:
     """Dilated causal 1-D convolution as one GEMM over shifted inputs (im2col).
 
     ``x`` is (batch, in_channels, time), ``weights`` is (out_channels,
@@ -470,7 +481,9 @@ def conv1d_causal(x: Node, weights: Node, dilation: int = 1) -> Node:
     ``used`` taps with ``dilation*i < T``; column ``b*T + t`` is one (batch,
     time) position.  The forward is one GEMM with the (O, used*C) weights; the
     backward is ``gy @ columns.T`` for the weights and ``weights.T @ gy`` for
-    the columns, scatter-added back into the input tap by tap.
+    the columns, scatter-added back into the input tap by tap.  An optional
+    (O,) ``bias`` is added to the GEMM output in place, so it costs no extra
+    full-size array.
     """
     if x.value.ndim != 3 or weights.value.ndim != 3:
         raise ValueError("conv1d_causal expects (B, C, T) input and (O, C, K) weights")
@@ -490,11 +503,17 @@ def conv1d_causal(x: Node, weights: Node, dilation: int = 1) -> Node:
         columns[i, :, :, offset:] = x_cbt[:, :, : length - offset]
     columns = columns.reshape(used * channels, batch * length)
     w_mat = weights.value[:, :, :used].transpose(0, 2, 1).reshape(out_channels, -1)
-    value = (w_mat @ columns).reshape(out_channels, batch, length).transpose(1, 0, 2)
-    out = Node(np.ascontiguousarray(value), (x, weights))
+    value = w_mat @ columns
+    if bias is not None:
+        value += bias.value.reshape(out_channels, 1)
+    value = value.reshape(out_channels, batch, length).transpose(1, 0, 2)
+    parents = (x, weights) if bias is None else (x, weights, bias)
+    out = Node(np.ascontiguousarray(value), parents)
 
     def _backward(g):
         gy = g.transpose(1, 0, 2).reshape(out_channels, batch * length)
+        if bias is not None:
+            bias._add_grad(gy.sum(axis=1).reshape(bias.shape))
         gw = np.zeros(weights.shape)
         gw[:, :, :used] = (gy @ columns.T).reshape(out_channels, used, -1).transpose(0, 2, 1)
         weights._add_grad(gw)
@@ -504,6 +523,82 @@ def conv1d_causal(x: Node, weights: Node, dilation: int = 1) -> Node:
         for i, offset in enumerate(offsets):
             gx_cbt[:, :, : length - offset] += g_columns[i, :, :, offset:]
         x._add_grad(gx)
+
+    out._backward = _backward
+    return out
+
+
+def lstm_sequence(x: Node, h0: Node, c0: Node, wx: Node, wh: Node, b: Node) -> Node:
+    """One LSTM layer over a whole sequence as a single tape node.
+
+    ``x`` is (T, B, F), ``h0`` and ``c0`` are (B, H), ``wx`` is (F, 4H), ``wh``
+    is (H, 4H) and ``b`` is (4H,); gate order is i, f, g, o.  Returns the
+    (T, B, H) hidden states.  The forward is one input-projection GEMM for all
+    steps, then one ``h @ wh`` per step (fused gate GEMMs, Appleyard et al.,
+    2016, arXiv:1604.01946).  The backward is hand-written BPTT: one
+    ``dz @ wh.T`` per step, then the input, ``wx`` and ``wh`` gradients as
+    three GEMMs over all steps.
+    """
+    if x.value.ndim != 3:
+        raise ValueError("lstm_sequence expects a (T, B, F) input")
+    steps, batch, features = x.shape
+    hidden = wh.shape[0]
+    if steps < 1:
+        raise ValueError("recurrence needs at least one step")
+    if (wx.shape != (features, 4 * hidden) or wh.shape != (hidden, 4 * hidden)
+            or b.shape != (4 * hidden,)):
+        raise ValueError(
+            f"weights {wx.shape}, {wh.shape}, {b.shape} do not fit {features} "
+            f"inputs and {hidden} hidden units"
+        )
+    if h0.shape != (batch, hidden) or c0.shape != (batch, hidden):
+        raise ValueError(f"initial state must be ({batch}, {hidden})")
+    n = hidden
+    x_flat = x.value.reshape(steps * batch, features)
+    projected = (x_flat @ wx.value + b.value).reshape(steps, batch, 4 * n)
+    # hs[t + 1], cs[t + 1] are the state after step t; index 0 is the initial state
+    hs = np.empty((steps + 1, batch, n))
+    cs = np.empty((steps + 1, batch, n))
+    hs[0], cs[0] = h0.value, c0.value
+    gates = np.empty((steps, batch, 4 * n))  # activated i, f, g, o
+    tanh_c = np.empty((steps, batch, n))
+    for t in range(steps):
+        z = projected[t] + hs[t] @ wh.value
+        act = gates[t]
+        act[...] = _sigmoid_value(z)
+        act[:, 2 * n : 3 * n] = np.tanh(z[:, 2 * n : 3 * n])
+        cs[t + 1] = act[:, n : 2 * n] * cs[t] + act[:, :n] * act[:, 2 * n : 3 * n]
+        tanh_c[t] = np.tanh(cs[t + 1])
+        hs[t + 1] = act[:, 3 * n :] * tanh_c[t]
+    out = Node(hs[1:], (x, h0, c0, wx, wh, b))
+
+    def _backward(g):
+        i, f = gates[..., :n], gates[..., n : 2 * n]
+        gg, o = gates[..., 2 * n : 3 * n], gates[..., 3 * n :]
+        # gate pre-activation gradient = factor * (dc for i, f, g; dh for o)
+        factor = np.empty((steps, batch, 4, n))
+        factor[:, :, 0] = gg * i * (1.0 - i)
+        factor[:, :, 1] = cs[:-1] * f * (1.0 - f)
+        factor[:, :, 2] = i * (1.0 - gg * gg)
+        factor[:, :, 3] = tanh_c * o * (1.0 - o)
+        dc_from_h = o * (1.0 - tanh_c * tanh_c)
+        dz = np.empty((steps, batch, 4, n))
+        # gradients that step t passes back to the state it started from
+        dh_back = dc_back = 0.0
+        for t in range(steps - 1, -1, -1):
+            dh = g[t] + dh_back
+            dc = dh * dc_from_h[t] + dc_back
+            dz[t, :, :3] = factor[t, :, :3] * dc[:, None, :]
+            dz[t, :, 3] = factor[t, :, 3] * dh
+            dh_back = dz[t].reshape(batch, 4 * n) @ wh.value.T
+            dc_back = dc * f[t]
+        dz_flat = dz.reshape(steps * batch, 4 * n)
+        h0._add_grad(dh_back)
+        c0._add_grad(dc_back)
+        x._add_grad((dz_flat @ wx.value.T).reshape(x.shape))
+        wx._add_grad(x_flat.T @ dz_flat)
+        wh._add_grad(hs[:-1].reshape(steps * batch, n).T @ dz_flat)
+        b._add_grad(dz_flat.sum(axis=0))
 
     out._backward = _backward
     return out

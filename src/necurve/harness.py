@@ -279,7 +279,7 @@ def build_model(checkpoint: Checkpoint):
         if checkpoint.params[name].shape != node.value.shape:
             raise ValueError(f"checkpoint shape mismatch for {name!r}")
         node.value = checkpoint.params[name].copy()
-        node.grad = np.zeros_like(node.value)
+        node.grad = None
     model.load_state(checkpoint.state)
     return model
 

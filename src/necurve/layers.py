@@ -1,13 +1,23 @@
 """Trainable building blocks: dense, LSTM, batch norm, and the causal
 convolution encoder.  Each block owns named parameter Nodes and registers
 them into a shared dict so optimizers and checkpoints see a flat map.
+
+An LSTM runs a whole (T, B, F) sequence per layer through one
+``lstm_sequence`` tape node; ``LstmCell.step`` is the per-step reference.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from necurve.autodiff import Node, avg_pool_time, batch_norm, concat, conv1d_causal, narrow
+from necurve.autodiff import (
+    Node,
+    _batch_norm,
+    avg_pool_time,
+    conv1d_causal,
+    lstm_sequence,
+    narrow,
+)
 
 
 def glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -29,7 +39,12 @@ class Dense:
 
 
 class LstmCell:
-    """Single recurrence step; gate order i, f, g, o; forget bias starts at 1."""
+    """One layer's parameters; gate order i, f, g, o; forget bias starts at 1.
+
+    ``lstm_sequence`` runs the layer over a whole sequence; ``step`` builds
+    one step of the same recurrence from primitive ops and is kept as the
+    reference that op is tested against.
+    """
 
     def __init__(self, params: dict[str, Node], name: str, n_in: int, hidden: int,
                  rng: np.random.Generator):
@@ -53,7 +68,7 @@ class LstmCell:
 
 
 class Lstm:
-    """Stacked unidirectional recurrence over a list of per-step inputs."""
+    """Stacked unidirectional recurrence over a (T, B, F) sequence."""
 
     def __init__(self, params: dict[str, Node], name: str, n_in: int, hidden: int,
                  layers: int, rng: np.random.Generator):
@@ -63,25 +78,18 @@ class Lstm:
         ]
         self.hidden = hidden
 
-    def run(
-        self, steps: list[Node], init: list[tuple[Node, Node]] | None = None
-    ) -> tuple[list[Node], list[tuple[Node, Node]]]:
-        """Returns top-layer outputs per step and final (h, c) per layer."""
-        if not steps:
-            raise ValueError("recurrence needs at least one step")
-        batch = steps[0].shape[0]
-        state = init or [
-            (Node(np.zeros((batch, cell.hidden))), Node(np.zeros((batch, cell.hidden))))
-            for cell in self.cells
-        ]
-        outputs = []
-        for x in steps:
-            for k, cell in enumerate(self.cells):
-                h, c = cell.step(x, *state[k])
-                state[k] = (h, c)
-                x = h
-            outputs.append(x)
-        return outputs, state
+    def __call__(self, x: Node, init: list[tuple[Node, Node]] | None = None) -> Node:
+        """(T, B, F) inputs -> (T, B, hidden) top-layer hidden states.
+
+        ``init`` holds the initial (h, c) per layer; zeros by default.
+        """
+        batch = x.shape[1]
+        if init is None:
+            zeros = Node(np.zeros((batch, self.hidden)))
+            init = [(zeros, zeros)] * len(self.cells)
+        for cell, (h0, c0) in zip(self.cells, init):
+            x = lstm_sequence(x, h0, c0, cell.wx, cell.wh, cell.b)
+        return x
 
 
 class BatchNorm:
@@ -99,19 +107,18 @@ class BatchNorm:
 
     def __call__(self, x: Node, train: bool) -> Node:
         if train:
-            mu = x.value.mean(axis=self.axes)
-            var = x.value.var(axis=self.axes)
-            self.running_mean += self.momentum * (mu - self.running_mean)
-            self.running_var += self.momentum * (var - self.running_var)
-            return batch_norm(x, self.gain, self.shift, axes=self.axes, eps=self.eps)
+            out, mu, var = _batch_norm(x, self.gain, self.shift, self.axes, self.eps)
+            self.running_mean += self.momentum * (mu.reshape(-1) - self.running_mean)
+            self.running_var += self.momentum * (var.reshape(-1) - self.running_var)
+            return out
         stat_shape = [1] * x.value.ndim
         feature_axis = next(a for a in range(x.value.ndim) if a not in self.axes)
         stat_shape[feature_axis] = len(self.running_mean)
-        mu = self.running_mean.reshape(stat_shape)
-        inv = (1.0 / np.sqrt(self.running_var + self.eps)).reshape(stat_shape)
-        g = self.gain.reshape(*stat_shape)
-        s = self.shift.reshape(*stat_shape)
-        return (x - mu) * inv * g + s
+        # (x - mu) * inv * g + s as one per-feature scale and offset
+        inv = 1.0 / np.sqrt(self.running_var + self.eps)
+        scale = self.gain * inv
+        offset = self.shift - scale * self.running_mean
+        return x * scale.reshape(*stat_shape) + offset.reshape(*stat_shape)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {"mean": self.running_mean, "var": self.running_var}
@@ -148,7 +155,7 @@ class TcnEncoder:
     def features_over_time(self, x: Node, train: bool) -> Node:
         """(B, C, T) -> (B, filters, T), pre-pooling activations."""
         for (w, b), norm, dilation in zip(self.convs, self.norms, self.dilations):
-            x = conv1d_causal(x, w, dilation) + b.reshape(1, -1, 1)
+            x = conv1d_causal(x, w, dilation, bias=b)
             x = norm(x, train)
             x = x.relu()
         return x

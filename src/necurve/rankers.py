@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from necurve.act import MASK_STRICT, ActLayer
-from necurve.autodiff import Node, concat, dropout, gather_rows
+from necurve.autodiff import Node, _sigmoid_value, concat, dropout, gather_rows, narrow
 from necurve.layers import BatchNorm, Dense, Lstm, TcnEncoder
 
 
@@ -95,13 +95,7 @@ def pairwise_probability(delta):
     """Logistic map e^d / (1 + e^d), stable for large |d|."""
     if isinstance(delta, Node):
         return delta.sigmoid()
-    delta = np.asarray(delta, dtype=np.float64)
-    out = np.empty_like(delta)
-    pos = delta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-delta[pos]))
-    e = np.exp(delta[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    return _sigmoid_value(np.asarray(delta, dtype=np.float64))
 
 
 def ce_loss(delta: Node, labels: np.ndarray) -> Node:
@@ -174,8 +168,9 @@ class _SharedEncoders:
 
     # -- metadata paths ---------------------------------------------------
 
-    def normalize_arch(self, seq: np.ndarray) -> np.ndarray:
-        return (np.asarray(seq, dtype=np.float64) - self.arch_mean) / self.arch_sd
+    def normalize_arch(self, seqs) -> np.ndarray:
+        """Standardize one sequence, or a stack of equal-length ones, per slot."""
+        return (np.asarray(seqs, dtype=np.float64) - self.arch_mean) / self.arch_sd
 
     def encode_architectures(self, seqs: list) -> tuple[Node, Node, Node]:
         """Returns (embeddings (B, H), reconstruction sse, element count)."""
@@ -186,10 +181,9 @@ class _SharedEncoders:
             by_length.setdefault(len(seq), []).append(idx)
         emb_parts, order, sse_parts, counts = [], [], [], 0
         for length, indices in sorted(by_length.items()):
-            group = np.stack([self.normalize_arch(seqs[i]) for i in indices])
-            steps = [Node(group[:, t, :]) for t in range(length)]
-            outputs, _ = self.arch_encoder.run(steps)
-            emb = outputs[-1]
+            group = self.normalize_arch([seqs[i] for i in indices])  # (B, T, F)
+            hidden = self.arch_encoder(Node(group.transpose(1, 0, 2)))
+            emb = narrow(hidden, 0, length - 1, 1).reshape(len(indices), -1)
             emb_parts.append(emb)
             order.extend(indices)
             sse_parts.append(self._reconstruction_sse(emb, group))
@@ -205,18 +199,15 @@ class _SharedEncoders:
 
     def _reconstruction_sse(self, embeddings: Node, target: np.ndarray) -> Node:
         """Decoder unrolls from the embedding as initial hidden state over
-        zero inputs; squared error against the normalized input sequence."""
+        zero inputs; squared error against the normalized input sequence,
+        with one output Dense over all (step, sequence) rows."""
         batch, length, features = target.shape
         zero_c = Node(np.zeros((batch, self.config.lstm_dim)))
-        init = [(embeddings, zero_c) for _ in self.arch_decoder.cells]
-        steps = [Node(np.zeros((batch, features))) for _ in range(length)]
-        outputs, _ = self.arch_decoder.run(steps, init=init)
-        sse = None
-        for t, h in enumerate(outputs):
-            err = self.arch_out(h) - target[:, t, :]
-            term = (err * err).sum()
-            sse = term if sse is None else sse + term
-        return sse
+        init = [(embeddings, zero_c)] * len(self.arch_decoder.cells)
+        hidden = self.arch_decoder(Node(np.zeros((length, batch, features))), init=init)
+        rows = self.arch_out(hidden.reshape(length * batch, -1))
+        err = rows - target.transpose(1, 0, 2).reshape(length * batch, features)
+        return (err * err).sum()
 
     def embed_domains(self, ids: list, train: bool, eval_seed: int = 0) -> Node:
         known = [self.domain_index.get(key) for key in ids]

@@ -435,8 +435,8 @@ class TestActLayer:
         curves = rng.uniform(0.2, 1.5, size=(5, 6))
         z = layer.transform(curves).value
         for b in range(5):
-            alphas = layer._alphas(curves[b : b + 1])
-            alpha = alphas[-1].reshape(6)
+            alphas = layer._alphas(curves[b : b + 1])  # (L, 1, L)
+            alpha = Node(alphas.value[-1, 0])
             single = df2_transform(curves[b], alpha, gamma=0.05).value
             np.testing.assert_allclose(z[b], single, rtol=1e-9)
 

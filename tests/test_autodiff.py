@@ -22,6 +22,7 @@ from necurve.autodiff import (
     GradCheckError,
     Node,
     TapeReuseError,
+    _batch_norm,
     adam_step,
     avg_pool_time,
     batch_norm,
@@ -32,10 +33,12 @@ from necurve.autodiff import (
     grad_check,
     indicator_matrix,
     load_checkpoint,
+    lstm_sequence,
     narrow,
     restore_checkpoint,
     save_checkpoint,
 )
+from necurve.layers import LstmCell
 
 TRIALS = 100
 EPS = 1e-6
@@ -82,6 +85,16 @@ class TestForwardValues:
         np.testing.assert_array_equal(out.value, table.value[[2, 0, 2]])
         with pytest.raises(ValueError):
             indicator_matrix([4], 4)
+
+    def test_batch_norm_statistics_match_numpy(self):
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            x = rng.normal(loc=rng.normal(scale=10.0), size=tuple(rng.integers(2, 40, size=3)))
+            for axes in ((0,), (0, 2)):
+                features = np.ones(x.shape[1:] if axes == (0,) else x.shape[1])
+                _, mu, var = _batch_norm(Node(x), Node(features), Node(features), axes, 1e-5)
+                np.testing.assert_array_equal(mu, x.mean(axis=axes, keepdims=True))
+                np.testing.assert_array_equal(var, x.var(axis=axes, keepdims=True))
 
     def test_narrow(self):
         x = Node(np.arange(10, dtype=np.float64).reshape(2, 5))
@@ -284,6 +297,41 @@ class TestGradCheckPerOp:
                 lambda v: (conv1d_causal(Node(x), v, dilation) * s).sum(), w, EPS
             ) <= TOL
 
+    def test_conv1d_causal_bias(self):
+        rng = np.random.default_rng(24)
+        for _ in range(TRIALS):
+            dilation = int(rng.integers(1, 4))
+            x = rng.normal(size=(2, 2, 5))
+            w = rng.normal(size=(3, 2, 2))
+            s = rng.normal(size=(2, 3, 5))
+            assert grad_check(
+                lambda v: (conv1d_causal(Node(x), Node(w), dilation, bias=v) * s).sum(),
+                rng.normal(size=3),
+                EPS,
+            ) <= TOL
+
+    def test_lstm_sequence(self):
+        rng = np.random.default_rng(25)
+        for _ in range(TRIALS):
+            steps, batch, features, hidden = (int(n) for n in rng.integers(1, 4, size=4))
+            inputs = [
+                rng.normal(size=(steps, batch, features)),
+                rng.normal(size=(batch, hidden)),
+                rng.normal(size=(batch, hidden)),
+                rng.normal(size=(features, 4 * hidden)),
+                rng.normal(size=(hidden, 4 * hidden)),
+                rng.normal(size=4 * hidden),
+            ]
+            s = rng.normal(size=(steps, batch, hidden))
+            for k, point in enumerate(inputs):
+
+                def fn(v, k=k):
+                    args = [Node(a) for a in inputs]
+                    args[k] = v
+                    return (lstm_sequence(*args) * s).sum()
+
+                assert grad_check(fn, point, EPS) <= TOL
+
     def test_dropout(self):
         rng = np.random.default_rng(15)
         for trial in range(TRIALS):
@@ -446,6 +494,70 @@ class TestConvReference:
         np.testing.assert_allclose(out.value, value, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(xn.grad, gx, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(wn.grad, gw, rtol=1e-12, atol=1e-12)
+
+
+def unrolled_lstm(x, h0, c0, wx, wh, b, gy):
+    """``LstmCell.step`` unrolled over (T, B, F) inputs: the hidden states,
+    and the gradients of the six inputs under the output gradient ``gy``."""
+    cell = LstmCell({}, "ref", wx.shape[0], wh.shape[0], np.random.default_rng(0))
+    cell.wx.value, cell.wh.value, cell.b.value = wx.copy(), wh.copy(), b.copy()
+    xs = [Node(step) for step in x]
+    h = h_init = Node(h0)
+    c = c_init = Node(c0)
+    loss = Node(0.0)
+    states = []
+    for t, step in enumerate(xs):
+        h, c = cell.step(step, h, c)
+        states.append(h.value)
+        loss = loss + (h * gy[t]).sum()
+    loss.backward()
+    grads = [np.stack([step.grad for step in xs]), h_init.grad, c_init.grad,
+             cell.wx.grad, cell.wh.grad, cell.b.grad]
+    return np.stack(states), grads
+
+
+class TestLstmReference:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        steps=st.integers(1, 8),
+        batch=st.integers(1, 4),
+        features=st.integers(1, 4),
+        hidden=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(steps=1, batch=3, features=2, hidden=4, seed=0)
+    @example(steps=1, batch=1, features=1, hidden=1, seed=1)
+    def test_matches_step_unroll(self, steps, batch, features, hidden, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [
+            rng.normal(size=(steps, batch, features)),
+            rng.normal(size=(batch, hidden)),  # nonzero h0, as the decoder starts
+            rng.normal(size=(batch, hidden)),
+            rng.normal(size=(features, 4 * hidden)),
+            rng.normal(size=(hidden, 4 * hidden)),
+            rng.normal(size=4 * hidden),
+        ]
+        gy = rng.normal(size=(steps, batch, hidden))
+        nodes = [Node(a) for a in arrays]
+        out = lstm_sequence(*nodes)
+        (out * gy).sum().backward()
+        states, grads = unrolled_lstm(*arrays, gy)
+        np.testing.assert_allclose(out.value, states, rtol=1e-12, atol=1e-12)
+        for node, expected in zip(nodes, grads):
+            np.testing.assert_allclose(node.grad, expected, rtol=1e-12, atol=1e-12)
+
+    def test_rejects_bad_shapes(self):
+        x, h = Node(np.zeros((2, 3, 1))), Node(np.zeros((3, 2)))
+        wx, wh, b = Node(np.zeros((1, 8))), Node(np.zeros((2, 8))), Node(np.zeros(8))
+        lstm_sequence(x, h, h, wx, wh, b)
+        with pytest.raises(ValueError):
+            lstm_sequence(Node(np.zeros((3, 1))), h, h, wx, wh, b)
+        with pytest.raises(ValueError):
+            lstm_sequence(Node(np.zeros((0, 3, 1))), h, h, wx, wh, b)
+        with pytest.raises(ValueError):
+            lstm_sequence(x, h, h, Node(np.zeros((2, 8))), wh, b)
+        with pytest.raises(ValueError):
+            lstm_sequence(x, Node(np.zeros((2, 2))), h, wx, wh, b)
 
 
 class TestAdam:

@@ -454,10 +454,12 @@ class TestTapeMemory:
         try:
             out = model.distance(batch, train=True, rng=np.random.default_rng(0))
             loss = total_loss(ce_loss(out.delta, batch.labels), out.reconstruction, 0.5)
-            inner = [n for n in tape_nodes(loss) if n._parents]
-            assert len(inner) > 100
+            nodes = tape_nodes(loss)
+            reached = {id(n) for n in nodes}
+            assert all(id(p) in reached for p in model.params.values())
+            inner = [n for n in nodes if n._parents]
             assert all(n._grad is None for n in inner)  # the forward allocates no gradient
-            del inner
+            del nodes, inner
             loss.backward()
             del out, loss
             assert gc.collect() == 0
