@@ -160,7 +160,7 @@ def cmd_cross_validate(args, created: list) -> int:
     write_metrics_csv([report], outdir / "metrics.csv")
     created.append(outdir / "splits.json")
     write_split_manifest(
-        grouped_kfold(records, k=config.folds, seed=config.seed),
+        grouped_kfold(records, k=config.folds, seed=config.seed, build_pairs=False),
         outdir / "splits.json",
     )
     created.extend(Path(p) for p in write_plot_data([report], outdir / "plotdata"))

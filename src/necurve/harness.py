@@ -6,9 +6,11 @@ optionally with the adaptive window front end), how long to train, and which
 observation fractions to evaluate.  Training is mini-batch Adam over ordered
 within-job pairs with best-epoch selection by validation AUC.  Evaluation
 reports pair accuracy (ties count as wrong) and AUC via the midrank
-statistic.  Cross-validation runs the grouped K folds, optionally spreading
-fold/fraction tasks over NECURVE_THREADS worker threads, and aggregates
-mean and spread per fraction.
+statistic.  Cross-validation runs the grouped K folds and aggregates mean
+and spread per fraction.  The greedy baseline and the consistency curves are
+scored from per-job stacked curve arrays, with no pair objects; a trained
+ranker's fold/fraction tasks can be spread over NECURVE_THREADS worker
+threads.
 """
 
 from __future__ import annotations
@@ -22,14 +24,13 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from necurve.act import MASK_LITERAL, MASK_STRICT
 from necurve.autodiff import Adam
-from necurve.curves import greedy_rank, observed_count
+from necurve.curves import observed_count
 from necurve.rankers import (
     PairBatch,
     RankerConfig,
@@ -492,27 +493,48 @@ def evaluate(checkpoint: Checkpoint, pairs: list[CurvePair],
     )
 
 
+def _greedy_call(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The greedy rule on last observed values: 1 where the left value is
+    lower, 0 where it is higher, and 0.5 on a tie, which the accuracy rule
+    counts as wrong."""
+    return np.where(left == right, 0.5, (left < right).astype(np.float64))
+
+
+def _check_fraction(fraction: float) -> None:
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"observed fraction must lie in (0, 1], got {fraction}")
+
+
 def greedy_probabilities(pairs: list[CurvePair], fraction: float) -> np.ndarray:
-    """Last-observed-value calls as probabilities; ties score 0.5, which the
-    accuracy rule counts as incorrect."""
-    scores = np.empty(len(pairs))
+    """Last-observed-value calls as probabilities: 1 if the left curve's
+    value is lower, 0 if higher, 0.5 on a tie (counted as wrong)."""
+    _check_fraction(fraction)
+    observed = np.empty((2, len(pairs)))
     for idx, pair in enumerate(pairs):
-        prediction = greedy_rank(pair.left.curve, pair.right.curve, fraction)
-        scores[idx] = 0.5 if prediction.tie else prediction.prob_left_superior
-    return scores
+        left, right = pair.left.curve.values, pair.right.curve.values
+        if len(left) != len(right):
+            raise ValueError("curves must be resampled to equal length")
+        column = observed_count(len(left), fraction) - 1
+        observed[0, idx] = left[column]
+        observed[1, idx] = right[column]
+    return _greedy_call(observed[0], observed[1])
+
+
+def _greedy_slice(probabilities: np.ndarray, labels: np.ndarray,
+                  fraction: float) -> EvalSlice:
+    if len(labels) == 0:
+        raise EvaluationError("no pairs to evaluate")
+    return EvalSlice(
+        fraction=fraction,
+        auc=roc_auc(probabilities, labels),
+        accuracy=accuracy(probabilities, labels),
+        pairs=len(labels),
+    )
 
 
 def evaluate_greedy(pairs: list[CurvePair], fraction: float) -> EvalSlice:
-    if not pairs:
-        raise EvaluationError("no pairs to evaluate")
-    probs = greedy_probabilities(pairs, fraction)
     labels = np.array([p.label for p in pairs])
-    return EvalSlice(
-        fraction=fraction,
-        auc=roc_auc(probs, labels),
-        accuracy=accuracy(probs, labels),
-        pairs=len(pairs),
-    )
+    return _greedy_slice(greedy_probabilities(pairs, fraction), labels, fraction)
 
 
 def _final_value(record: ModelRecord, criterion: str) -> float:
@@ -522,37 +544,75 @@ def _final_value(record: ModelRecord, criterion: str) -> float:
     return value
 
 
+def _greedy_jobs(records: list[ModelRecord], criterion: str,
+                 fractions) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """The greedy calls on every within-job pair, from stacked curve arrays
+    rather than pair objects.
+
+    Per job, in (job_id, model_id) order: the curves are stacked into an
+    (n, L) array, the pairs are taken in ``combinations`` order, pairs with
+    equal finals under ``criterion`` are dropped, and a pair is labelled 1
+    iff its left final is lower.  Returns job_id -> (labels, calls), where
+    ``calls[i]`` holds the calls at ``fractions[i]``; the pairs and their
+    order are those of ``pair_and_label(..., ordered=False)``.
+    """
+    for fraction in fractions:
+        _check_fraction(fraction)
+    by_job: dict[int, list[ModelRecord]] = {}
+    for record in sorted(records, key=lambda r: (r.job_id, r.model_id)):
+        by_job.setdefault(record.job_id, []).append(record)
+    scored = {}
+    for job_id, group in by_job.items():
+        finals = np.array([_final_value(record, criterion) for record in group])
+        length = len(group[0].curve)
+        if any(len(record.curve) != length for record in group):
+            raise ValueError(
+                f"job {job_id} mixes curve lengths; curves must be resampled "
+                "to equal length"
+            )
+        curves = np.stack([record.curve.values for record in group])
+        left, right = np.triu_indices(len(group), 1)
+        kept = finals[left] != finals[right]
+        left, right = left[kept], right[kept]
+        calls = np.empty((len(fractions), len(left)))
+        for row, fraction in enumerate(fractions):
+            column = curves[:, observed_count(length, fraction) - 1]
+            calls[row] = _greedy_call(column[left], column[right])
+        scored[job_id] = ((finals[left] < finals[right]).astype(np.float64), calls)
+    return scored
+
+
+def _gather(scored: dict, job_ids, n_fractions: int) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and calls of the given jobs' pairs, concatenated in job order."""
+    pieces = [scored[job_id] for job_id in job_ids]
+    labels = np.concatenate([np.empty(0)] + [labels for labels, _ in pieces])
+    calls = np.concatenate([np.empty((n_fractions, 0))] + [calls for _, calls in pieces],
+                           axis=1)
+    return labels, calls
+
+
 def consistency_analysis(records: list[ModelRecord], criterion: str = "wne",
                          fractions=(0.2, 0.4, 0.6, 0.8, 1.0)) -> list[dict]:
     """Greedy-call agreement with final superiority under the chosen
     criterion, per observation fraction.
 
-    Shares the scoring path with evaluate_greedy, so the greedy ranker's
-    reported accuracy equals this curve at the same fraction exactly.
+    Shares its scorer with the greedy branch of ``cross_validate``, so the
+    greedy ranker's reported accuracy equals this curve at the same fraction
+    exactly.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
-    by_job: dict[int, list[ModelRecord]] = {}
-    for record in sorted(records, key=lambda r: (r.job_id, r.model_id)):
-        by_job.setdefault(record.job_id, []).append(record)
-    pairs = []
-    for group in by_job.values():
-        finals = [(record, _final_value(record, criterion)) for record in group]
-        for (a, fa), (b, fb) in combinations(finals, 2):
-            if fa == fb:
-                continue
-            pairs.append(CurvePair(left=a, right=b, label=float(fa < fb)))
-    labels = np.array([p.label for p in pairs])
-    curve = []
-    for fraction in fractions:
-        probs = greedy_probabilities(pairs, fraction)
-        curve.append({
+    scored = _greedy_jobs(records, criterion, fractions)
+    labels, calls = _gather(scored, scored, len(fractions))
+    return [
+        {
             "criterion": criterion,
             "fraction": float(fraction),
-            "accuracy": accuracy(probs, labels),
-            "pairs": len(pairs),
-        })
-    return curve
+            "accuracy": accuracy(probabilities, labels),
+            "pairs": len(labels),
+        }
+        for fraction, probabilities in zip(fractions, calls)
+    ]
 
 
 # -- cross-validation ------------------------------------------------------------
@@ -568,34 +628,44 @@ def _assert_no_leakage(split: DatasetSplit) -> None:
 def cross_validate(records: list[ModelRecord], config: TrainConfig) -> EvalReport:
     """Grouped K-fold evaluation of one ranker over all observation fractions.
 
-    Fold/fraction tasks are independent; NECURVE_THREADS > 1 runs them on a
-    thread pool.  Results are assembled in (fraction, fold) order, so the
-    report does not depend on scheduling.
+    The greedy baseline is scored once for every job from stacked curve
+    arrays, and each fold reads its test jobs' calls, so its splits carry no
+    pairs.  A trained ranker's fold/fraction tasks are independent;
+    NECURVE_THREADS > 1 runs them on a thread pool.  Results are assembled in
+    (fraction, fold) order, so the report does not depend on scheduling.
     """
     start_time = time.perf_counter()
-    splits = grouped_kfold(records, k=config.folds, seed=config.seed)
+    greedy = config.ranker == "greedy"
+    splits = grouped_kfold(records, k=config.folds, seed=config.seed,
+                           build_pairs=not greedy)
     for split in splits:
         _assert_no_leakage(split)
-    tasks = [(split, fraction) for fraction in config.fractions for split in splits]
-
-    def run(task) -> FoldMetrics:
-        split, fraction = task
-        if config.ranker == "greedy":
-            piece = evaluate_greedy(split.test, fraction)
-            return FoldMetrics(split.fold, fraction, piece.auc, piece.accuracy,
-                               piece.pairs)
-        checkpoint = train(split, config, fraction)
-        piece = evaluate(checkpoint, split.test, fraction)
-        return FoldMetrics(split.fold, fraction, piece.auc, piece.accuracy,
-                           piece.pairs, checkpoint.best_epoch,
-                           checkpoint.validation_auc)
-
-    workers = max(1, int(os.environ.get("NECURVE_THREADS", "1")))
-    if workers == 1:
-        results = [run(task) for task in tasks]
+    if greedy:
+        scored = _greedy_jobs(records, "wne", config.fractions)
+        results = []
+        for split in splits:
+            labels, calls = _gather(scored, split.test_jobs, len(config.fractions))
+            for fraction, probabilities in zip(config.fractions, calls):
+                piece = _greedy_slice(probabilities, labels, fraction)
+                results.append(FoldMetrics(split.fold, fraction, piece.auc,
+                                           piece.accuracy, piece.pairs))
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, tasks))
+        tasks = [(split, fraction) for fraction in config.fractions for split in splits]
+
+        def run(task) -> FoldMetrics:
+            split, fraction = task
+            checkpoint = train(split, config, fraction)
+            piece = evaluate(checkpoint, split.test, fraction)
+            return FoldMetrics(split.fold, fraction, piece.auc, piece.accuracy,
+                               piece.pairs, checkpoint.best_epoch,
+                               checkpoint.validation_auc)
+
+        workers = max(1, int(os.environ.get("NECURVE_THREADS", "1")))
+        if workers == 1:
+            results = [run(task) for task in tasks]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(run, tasks))
     results.sort(key=lambda m: (m.fraction, m.fold))
     return EvalReport(
         ranker=config.ranker,

@@ -499,12 +499,12 @@ def pair_and_label(records: list[ModelRecord], day_window: int | None = None,
     return pairs
 
 
-def grouped_kfold(records: list[ModelRecord], k: int = 5,
-                  ratios: tuple[float, float, float] = (0.7, 0.1, 0.2),
-                  seed: int = 0, day_window: int | None = None) -> list[DatasetSplit]:
-    """K rotated grouped splits: jobs are shuffled once, each fold rotates the
-    order and partitions jobs ~70:10:20; pairs are built after partitioning so
-    no job contributes to more than one partition of a fold."""
+def partition_jobs(records: list[ModelRecord], k: int = 5,
+                   ratios: tuple[float, float, float] = (0.7, 0.1, 0.2),
+                   seed: int = 0) -> list[tuple[tuple, tuple, tuple]]:
+    """(train, validation, test) job ids of K rotated grouped folds: jobs are
+    shuffled once, and each fold rotates the order and partitions the jobs
+    ~70:10:20.  Each tuple of job ids is sorted."""
     if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must be three positive fractions summing to 1, got {ratios}")
     jobs = sorted({record.job_id for record in records})
@@ -517,22 +517,39 @@ def grouped_kfold(records: list[ModelRecord], k: int = 5,
     n_train = n - n_val - n_test
     if n_train < 1:
         raise SplitError(f"{n} jobs cannot honor ratios {ratios}")
-    by_job: dict[int, list[ModelRecord]] = {}
-    for record in records:
-        by_job.setdefault(record.job_id, []).append(record)
-    splits = []
+    folds = []
     for fold in range(k):
         start = round(fold * n / k)
         rotated = order[start:] + order[:start]
-        train_jobs = tuple(sorted(rotated[:n_train]))
-        val_jobs = tuple(sorted(rotated[n_train:n_train + n_val]))
-        test_jobs = tuple(sorted(rotated[n_train + n_val:]))
+        folds.append((
+            tuple(sorted(rotated[:n_train])),
+            tuple(sorted(rotated[n_train:n_train + n_val])),
+            tuple(sorted(rotated[n_train + n_val:])),
+        ))
+    return folds
 
-        def job_pairs(job_ids: tuple, ordered_pairs: bool) -> list[CurvePair]:
-            members = [r for j in job_ids for r in by_job[j]]
-            return pair_and_label(members, day_window, ordered=ordered_pairs)
 
-        splits.append(DatasetSplit(
+def grouped_kfold(records: list[ModelRecord], k: int = 5,
+                  ratios: tuple[float, float, float] = (0.7, 0.1, 0.2),
+                  seed: int = 0, day_window: int | None = None,
+                  build_pairs: bool = True) -> list[DatasetSplit]:
+    """K rotated grouped splits over the ``partition_jobs`` folds; pairs are
+    built after partitioning, so no job contributes to more than one
+    partition of a fold.  With ``build_pairs=False`` the splits carry the job
+    partition only, with empty pair lists, for callers that score straight
+    from the records."""
+    by_job: dict[int, list[ModelRecord]] = {}
+    for record in records:
+        by_job.setdefault(record.job_id, []).append(record)
+
+    def job_pairs(job_ids: tuple, ordered_pairs: bool) -> list[CurvePair]:
+        if not build_pairs:
+            return []
+        members = [r for j in job_ids for r in by_job[j]]
+        return pair_and_label(members, day_window, ordered=ordered_pairs)
+
+    return [
+        DatasetSplit(
             train=job_pairs(train_jobs, True),
             validation=job_pairs(val_jobs, False),
             test=job_pairs(test_jobs, False),
@@ -540,8 +557,10 @@ def grouped_kfold(records: list[ModelRecord], k: int = 5,
             train_jobs=train_jobs,
             validation_jobs=val_jobs,
             test_jobs=test_jobs,
-        ))
-    return splits
+        )
+        for fold, (train_jobs, val_jobs, test_jobs)
+        in enumerate(partition_jobs(records, k, ratios, seed))
+    ]
 
 
 # -- persistence -------------------------------------------------------------

@@ -11,8 +11,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from necurve.harness import (
+    _gather,
+    _greedy_jobs,
     Checkpoint,
     EvalReport,
     EvaluationError,
@@ -21,10 +25,12 @@ from necurve.harness import (
     TrainingError,
     accuracy,
     build_model,
+    config_to_dict,
     consistency_analysis,
     cross_validate,
     evaluate,
     evaluate_greedy,
+    greedy_probabilities,
     load_checkpoint_file,
     make_pair_batch,
     predict_pairs,
@@ -36,7 +42,7 @@ from necurve.harness import (
     write_plot_data,
     write_report_json,
 )
-from necurve.curves import LearningCurve
+from necurve.curves import LearningCurve, greedy_rank
 from necurve.synth import (
     CurvePair,
     DatasetSplit,
@@ -427,6 +433,144 @@ class TestGreedyAndConsistency:
             consistency_analysis(broken, criterion=criterion, fractions=(0.5,))
 
 
+def oracle_greedy_calls(pairs: list[CurvePair], fraction: float) -> np.ndarray:
+    """The scalar rule: one ``greedy_rank`` per pair, a tie scoring 0.5."""
+    calls = []
+    for pair in pairs:
+        prediction = greedy_rank(pair.left.curve, pair.right.curve, fraction)
+        calls.append(0.5 if prediction.tie else prediction.prob_left_superior)
+    return np.array(calls)
+
+
+OBSERVED_VALUES = (0.3, 0.5, 0.7)  # few values, so observed values often tie
+FINAL_VALUES = (0.2, 0.4, 0.6, 0.8)  # few finals, so some pairs have none
+
+
+@st.composite
+def greedy_corpora(draw):
+    """Records of 1-4 jobs, each job with its own curve length, plus
+    fractions: some put round(f * L) on a .5 boundary of a job's length."""
+    lengths = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
+    records = []
+    for job_id, length in enumerate(lengths):
+        for _ in range(draw(st.integers(1, 5))):
+            values = draw(st.lists(st.sampled_from(OBSERVED_VALUES),
+                                   min_size=length, max_size=length))
+            records.append(ModelRecord(
+                model_id=0, job_id=job_id,
+                curve=LearningCurve(values=values, example_counts=np.arange(1, length + 1)),
+                hyperparameters=np.zeros(2), architecture=((1, 1),), domain_id=0,
+                final_wne=draw(st.sampled_from(FINAL_VALUES)),
+                final_lne=draw(st.sampled_from(FINAL_VALUES)),
+            ))
+    ids = draw(st.permutations(range(len(records))))
+    records = draw(st.permutations(
+        [replace(r, model_id=i) for r, i in zip(records, ids)]))
+
+    def usable(fraction):
+        return all(round(fraction * length) >= 1 for length in lengths)
+
+    boundaries = [(2 * m + 1) / (2 * length) for length in lengths for m in range(length)]
+    fraction = st.one_of(
+        st.sampled_from([f for f in boundaries + [1.0] if usable(f)]),
+        st.floats(min_value=0.01, max_value=1.0).filter(usable),
+    )
+    return records, tuple(draw(st.lists(fraction, min_size=1, max_size=4)))
+
+
+class TestGreedyScorer:
+    @settings(max_examples=200, deadline=None)
+    @given(greedy_corpora(), st.sampled_from(("wne", "lne")))
+    def test_matches_the_pair_loop(self, corpus, criterion):
+        records, fractions = corpus
+        relabelled = [replace(r, final_wne=getattr(r, f"final_{criterion}"))
+                      for r in records]
+        pairs = pair_and_label(relabelled, ordered=False)
+        scored = _greedy_jobs(records, criterion, fractions)
+        labels, calls = _gather(scored, scored, len(fractions))
+        assert len(labels) == len(pairs)
+        assert calls.shape == (len(fractions), len(pairs))
+        np.testing.assert_array_equal(labels, [p.label for p in pairs])
+        for fraction, row in zip(fractions, calls):
+            np.testing.assert_array_equal(row, oracle_greedy_calls(pairs, fraction))
+            np.testing.assert_array_equal(greedy_probabilities(pairs, fraction), row)
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("fractions", [(0.4, 1.0), (0.8, 0.2, 0.55)])
+    def test_cross_validate_matches_the_pair_assembly(self, seed, fractions):
+        records = generate_dataset(GeneratorConfig(
+            jobs=9, models_per_job=5, curve_length_mean=40.0, curve_length_sd=10.0,
+            examples_per_checkpoint=10, resample_length=20, seed=seed,
+        ))
+        config = small_train_config(ranker="greedy", seed=seed, fractions=fractions)
+        # the report as assembled from grouped_kfold's test pairs
+        folds = []
+        for fraction in config.fractions:
+            for split in grouped_kfold(records, k=config.folds, seed=config.seed):
+                piece = evaluate_greedy(split.test, fraction)
+                folds.append(FoldMetrics(split.fold, fraction, piece.auc,
+                                         piece.accuracy, piece.pairs))
+        folds.sort(key=lambda m: (m.fraction, m.fold))
+        expected = EvalReport(ranker="greedy", fractions=list(config.fractions),
+                              folds=folds, config=config_to_dict(config))
+        report = cross_validate(records, config)
+        assert (json.dumps(report.to_dict(), sort_keys=True)
+                == json.dumps(expected.to_dict(), sort_keys=True))
+
+    @pytest.mark.parametrize("bad", [None, math.nan, math.inf])
+    def test_cross_validate_bad_final_names_the_model(self, records, bad):
+        target = records[len(records) // 2]
+        broken = [replace(r, final_wne=bad) if r is target else r for r in records]
+        with pytest.raises(LabelingError, match=f"model {target.model_id} "):
+            cross_validate(broken, small_train_config(ranker="greedy"))
+
+    def test_unequal_lengths_within_a_job_raise(self, records):
+        target = records[0]
+        short = LearningCurve(values=target.curve.values[:-1],
+                              example_counts=target.curve.example_counts[:-1])
+        broken = [replace(r, curve=short) if r is target else r for r in records]
+        with pytest.raises(ValueError, match="equal length"):
+            consistency_analysis(broken, "wne", (0.5,))
+        with pytest.raises(ValueError, match="equal length"):
+            cross_validate(broken, small_train_config(ranker="greedy"))
+
+    def test_jobs_of_different_lengths_are_scored(self, records):
+        def truncated(record):
+            return replace(record, curve=LearningCurve(
+                values=record.curve.values[:11],
+                example_counts=record.curve.example_counts[:11]))
+
+        first_job = records[0].job_id
+        mixed = [truncated(r) if r.job_id == first_job else r for r in records]
+        pairs = pair_and_label(mixed, ordered=False)
+        point = consistency_analysis(mixed, "wne", (0.5,))[0]
+        assert point["pairs"] == len(pairs)
+        assert point["accuracy"] == accuracy(oracle_greedy_calls(pairs, 0.5),
+                                             [p.label for p in pairs])
+        config = small_train_config(ranker="greedy")
+        report = cross_validate(mixed, config)
+        splits = grouped_kfold(mixed, k=config.folds, seed=config.seed)
+        assert [m.pairs for m in report.folds] == [len(s.test) for s in splits]
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.2, 1.5, math.nan])
+    def test_fraction_outside_unit_interval_raises(self, records, fraction):
+        with pytest.raises(ValueError, match="fraction"):
+            consistency_analysis(records, "wne", (0.5, fraction))
+        with pytest.raises(ValueError, match="fraction"):
+            greedy_probabilities(pair_and_label(records, ordered=False), fraction)
+
+    def test_fold_without_pairs_raises(self, records):
+        tied = [replace(r, final_wne=0.5) for r in records]
+        with pytest.raises(EvaluationError, match="no pairs"):
+            cross_validate(tied, small_train_config(ranker="greedy"))
+
+    def test_one_class_fold_raises(self, records):
+        # finals rise with model_id, so every pair's left model wins
+        ordered = [replace(r, final_wne=float(r.model_id)) for r in records]
+        with pytest.raises(EvaluationError, match="both classes"):
+            cross_validate(ordered, small_train_config(ranker="greedy"))
+
+
 class TestCrossValidate:
     def test_greedy_report_shape(self, records):
         config = small_train_config(ranker="greedy", fractions=(0.4, 1.0))
@@ -448,11 +592,16 @@ class TestCrossValidate:
         assert first == second  # runtime is excluded from comparison
 
     def test_thread_count_does_not_change_report(self, records, monkeypatch):
-        config = small_train_config(ranker="greedy", fractions=(0.4, 1.0))
-        serial = cross_validate(records, config)
-        monkeypatch.setenv("NECURVE_THREADS", "3")
-        threaded = cross_validate(records, config)
-        assert serial.to_dict() == threaded.to_dict()
+        # greedy runs no pool, so the pool is checked on trained rankers,
+        # with dropout on so each task draws from its own generators
+        for ranker in ("r2", "r2+act"):
+            config = small_train_config(ranker=ranker, dropout=0.1, fractions=(0.4, 1.0),
+                                        max_pairs_per_epoch=32)
+            monkeypatch.setenv("NECURVE_THREADS", "1")
+            serial = cross_validate(records, config)
+            monkeypatch.setenv("NECURVE_THREADS", "3")
+            threaded = cross_validate(records, config)
+            assert serial.to_dict() == threaded.to_dict(), ranker
 
     def test_trained_ranker_report(self, records):
         config = small_train_config(epochs=1, max_pairs_per_epoch=24)

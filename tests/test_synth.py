@@ -36,6 +36,7 @@ from necurve.synth import (
     grouped_kfold,
     measure_inconsistency,
     pair_and_label,
+    partition_jobs,
     full_scale,
     read_records,
     record_from_dict,
@@ -372,6 +373,23 @@ class TestGroupedKfold:
             assert a.train_jobs == b.train_jobs
             assert a.validation_jobs == b.validation_jobs
             assert a.test_jobs == b.test_jobs
+
+    @pytest.mark.parametrize("k, seed", [(2, 0), (3, 5), (5, 1), (5, 9), (7, 4)])
+    def test_job_tuples_come_from_partition_jobs(self, k, seed):
+        records = self.make_records(13)
+        folds = partition_jobs(records, k=k, seed=seed)
+        splits = grouped_kfold(records, k=k, seed=seed)
+        assert [(s.train_jobs, s.validation_jobs, s.test_jobs) for s in splits] == folds
+        assert [s.fold for s in splits] == list(range(k))
+
+    def test_partition_only_splits_carry_no_pairs(self):
+        records = self.make_records(10)
+        full = grouped_kfold(records, k=5, seed=3)
+        bare = grouped_kfold(records, k=5, seed=3, build_pairs=False)
+        for a, b in zip(full, bare):
+            assert (a.fold, a.train_jobs, a.validation_jobs, a.test_jobs) == (
+                b.fold, b.train_jobs, b.validation_jobs, b.test_jobs)
+            assert b.train == b.validation == b.test == []
 
     def test_too_few_jobs(self):
         with pytest.raises(SplitError):
