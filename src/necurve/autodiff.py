@@ -21,8 +21,6 @@ as indicator-matrix multiplication so no op needs a scatter backward).
 
 from __future__ import annotations
 
-import base64
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -744,44 +742,3 @@ def grad_check_params(
             error = abs(analytic[name].reshape(-1)[i] - numeric) / max(1.0, abs(numeric))
             worst = max(worst, error)
     return worst
-
-
-# -- checkpoints -------------------------------------------------------------
-
-
-def save_checkpoint(params: dict[str, Node], path: str) -> None:
-    """Flat JSON map: name -> shape + base64 of row-major float64 bytes."""
-    payload = {
-        name: {
-            "shape": list(node.value.shape),
-            "data": base64.b64encode(np.ascontiguousarray(node.value).tobytes()).decode(
-                "ascii"
-            ),
-        }
-        for name, node in params.items()
-    }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh)
-
-
-def load_checkpoint(path: str) -> dict[str, np.ndarray]:
-    with open(path, encoding="ascii") as fh:
-        payload = json.load(fh)
-    out = {}
-    for name, entry in payload.items():
-        data = np.frombuffer(base64.b64decode(entry["data"]), dtype=np.float64)
-        out[name] = data.reshape(entry["shape"]).copy()
-    return out
-
-
-def restore_checkpoint(params: dict[str, Node], path: str) -> None:
-    """Load a checkpoint into an existing parameter set, shapes must match."""
-    loaded = load_checkpoint(path)
-    missing = set(params) ^ set(loaded)
-    if missing:
-        raise ValueError(f"checkpoint parameter names disagree: {sorted(missing)}")
-    for name, node in params.items():
-        if loaded[name].shape != node.value.shape:
-            raise ValueError(f"checkpoint shape mismatch for {name!r}")
-        node.value = loaded[name]
-        node.grad = None

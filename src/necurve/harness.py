@@ -325,6 +325,10 @@ def save_checkpoint_file(checkpoint: Checkpoint, path) -> None:
 def load_checkpoint_file(path) -> Checkpoint:
     with open(path, encoding="ascii") as handle:
         payload = json.load(handle)
+    keys, names = set(payload["ranker_config"]), {f.name for f in dataclasses.fields(RankerConfig)}
+    if keys != names:
+        raise ValueError(f"checkpoint {path}: ranker_config has unknown keys "
+                         f"{sorted(keys - names)} and missing keys {sorted(names - keys)}")
     return Checkpoint(
         ranker_config=RankerConfig(**payload["ranker_config"]),
         params=_decode_arrays(payload["params"]),
@@ -356,27 +360,12 @@ def _derived_seed(config: TrainConfig, fold: int, fraction: float) -> int:
 
 
 def _ranker_config(config: TrainConfig, n_obs: int, hp_dim: int, seed: int) -> RankerConfig:
+    """Copies every field the two configs share by name, then sets the rest."""
     kind, use_act = _ranker_kind(config.ranker)
-    return RankerConfig(
-        kind=kind,
-        observed_length=n_obs,
-        use_act=use_act,
-        act_df=config.act_df,
-        gamma=config.gamma,
-        mask_mode=config.mask_mode,
-        lam=config.lam,
-        tcn_layers=config.tcn_layers,
-        tcn_filters=config.tcn_filters,
-        tcn_kernel=config.tcn_kernel,
-        lstm_layers=config.lstm_layers,
-        lstm_dim=config.lstm_dim,
-        embed_dim=config.embed_dim,
-        head_hidden=config.head_hidden,
-        dropout=config.dropout,
-        use_metadata=config.use_metadata,
-        hp_dim=hp_dim,
-        seed=seed,
-    )
+    shared = {f.name: getattr(config, f.name) for f in dataclasses.fields(RankerConfig)
+              if hasattr(config, f.name)}
+    shared.update(kind=kind, observed_length=n_obs, use_act=use_act, hp_dim=hp_dim, seed=seed)
+    return RankerConfig(**shared)
 
 
 def predict_pairs(model, pairs: list[CurvePair], n_obs: int,

@@ -10,6 +10,10 @@ normalization):
   and takes delta as the score difference, so delta(i,j) = -delta(j,i)
   holds exactly by construction.
 
+Both are one shell, ``_Ranker``, which owns the kind check, the encoder
+stack (``enc``, ``params``), its batch-norm state and ``distance``; each
+kind supplies only ``_delta``, how the two sides of a pair are combined.
+
 The superiority probability is the logistic map of delta.  Training adds
 an architecture-reconstruction term: total = CE + lambda * MSE.
 """
@@ -262,13 +266,18 @@ def _arch_equal_mask(batch: PairBatch) -> np.ndarray:
     return np.array(eq).reshape(-1, 1)
 
 
-class RelativeRanker:
-    """Signed-distance ranker over input differences."""
+class _Ranker:
+    """The shell both kinds share: the kind check, the encoder stack and its
+    state, and the distance output.  A subclass sets ``kind`` and supplies
+    ``_delta(batch, train, rng, eval_seed) -> (delta, sse, count)``, where
+    sse and count sum the architecture reconstruction over both sides."""
+
+    kind = ""
 
     def __init__(self, config: RankerConfig, domains: list = (),
                  arch_mean=0.0, arch_sd=1.0):
-        if config.kind != "r2":
-            raise ValueError("config.kind must be 'r2'")
+        if config.kind != self.kind:
+            raise ValueError(f"config.kind must be {self.kind!r}")
         self.config = config
         self.enc = _SharedEncoders(config, list(domains), arch_mean, arch_sd)
         self.params = self.enc.params
@@ -281,44 +290,42 @@ class RelativeRanker:
 
     def distance(self, batch: PairBatch, train: bool = False,
                  rng: np.random.Generator | None = None, eval_seed: int = 0) -> DistanceOutput:
-        cfg = self.config
-        _check_lengths(batch, cfg.observed_length)
-        zi = self.enc.transform_curves(batch.curves_i)
-        zj = self.enc.transform_curves(batch.curves_j)
-        parts = [self.enc.curve_features(zi - zj, train)]
-        mse = Node(0.0)
-        if cfg.use_metadata:
-            parts.append(self.enc.hp_norm(Node(batch.hp_i - batch.hp_j), train))
-            emb_i, sse_i, count_i = self.enc.encode_architectures(batch.arch_i)
-            emb_j, sse_j, count_j = self.enc.encode_architectures(batch.arch_j)
-            # identical architectures contribute the shared embedding once;
-            # different ones contribute the embedding difference
-            equal = _arch_equal_mask(batch)
-            parts.append(emb_i - emb_j * (1.0 - equal))
-            parts.append(self.enc.embed_domains(batch.domain_ids, train, eval_seed))
-            mse = (sse_i + sse_j) / (count_i + count_j)
-        delta = self.enc.head(concat(parts, axis=1), train, rng)
+        _check_lengths(batch, self.config.observed_length)
+        delta, sse, count = self._delta(batch, train, rng, eval_seed)
+        mse = sse / count if self.config.use_metadata else Node(0.0)
         return DistanceOutput(
             delta=delta, probability=pairwise_probability(delta.value), reconstruction=mse
         )
 
 
-class SiameseRanker:
+class RelativeRanker(_Ranker):
+    """Signed-distance ranker over input differences."""
+
+    kind = "r2"
+
+    def _delta(self, batch: PairBatch, train: bool, rng, eval_seed: int):
+        enc = self.enc
+        zi = enc.transform_curves(batch.curves_i)
+        zj = enc.transform_curves(batch.curves_j)
+        parts = [enc.curve_features(zi - zj, train)]
+        sse = count = None
+        if self.config.use_metadata:
+            parts.append(enc.hp_norm(Node(batch.hp_i - batch.hp_j), train))
+            emb_i, sse_i, count_i = enc.encode_architectures(batch.arch_i)
+            emb_j, sse_j, count_j = enc.encode_architectures(batch.arch_j)
+            # identical architectures contribute the shared embedding once;
+            # different ones contribute the embedding difference
+            equal = _arch_equal_mask(batch)
+            parts.append(emb_i - emb_j * (1.0 - equal))
+            parts.append(enc.embed_domains(batch.domain_ids, train, eval_seed))
+            sse, count = sse_i + sse_j, count_i + count_j
+        return enc.head(concat(parts, axis=1), train, rng), sse, count
+
+
+class SiameseRanker(_Ranker):
     """Per-record scoring with shared parameters; delta is the score gap."""
 
-    def __init__(self, config: RankerConfig, domains: list = (),
-                 arch_mean=0.0, arch_sd=1.0):
-        if config.kind != "siamese":
-            raise ValueError("config.kind must be 'siamese'")
-        self.config = config
-        self.enc = _SharedEncoders(config, list(domains), arch_mean, arch_sd)
-        self.params = self.enc.params
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return self.enc.state_arrays()
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        self.enc.load_state(state)
+    kind = "siamese"
 
     def _score(self, curves: np.ndarray, hp: np.ndarray, archs: list, domain_ids: list,
                train: bool, rng, eval_seed: int) -> tuple[Node, Node, Node]:
@@ -333,9 +340,7 @@ class SiameseRanker:
             parts.append(self.enc.embed_domains(domain_ids, train, eval_seed))
         return self.enc.head(concat(parts, axis=1), train, rng), sse, count
 
-    def distance(self, batch: PairBatch, train: bool = False,
-                 rng: np.random.Generator | None = None, eval_seed: int = 0) -> DistanceOutput:
-        _check_lengths(batch, self.config.observed_length)
+    def _delta(self, batch: PairBatch, train: bool, rng, eval_seed: int):
         # both sides share one dropout pattern so identical inputs tie exactly
         seed_state = None if rng is None else rng.bit_generator.state
         f_i, sse_i, count_i = self._score(
@@ -346,13 +351,7 @@ class SiameseRanker:
         f_j, sse_j, count_j = self._score(
             batch.curves_j, batch.hp_j, batch.arch_j, batch.domain_ids, train, rng, eval_seed
         )
-        delta = f_i - f_j
-        mse = Node(0.0)
-        if self.config.use_metadata:
-            mse = (sse_i + sse_j) / (count_i + count_j)
-        return DistanceOutput(
-            delta=delta, probability=pairwise_probability(delta.value), reconstruction=mse
-        )
+        return f_i - f_j, sse_i + sse_j, count_i + count_j
 
 
 def _check_lengths(batch: PairBatch, expected: int) -> None:
@@ -367,9 +366,8 @@ def _check_lengths(batch: PairBatch, expected: int) -> None:
 
 
 def build_ranker(config: RankerConfig, domains: list = (), arch_mean=0.0, arch_sd=1.0):
-    if config.kind == "r2":
-        return RelativeRanker(config, domains, arch_mean, arch_sd)
-    return SiameseRanker(config, domains, arch_mean, arch_sd)
+    ranker = RelativeRanker if config.kind == "r2" else SiameseRanker
+    return ranker(config, domains, arch_mean, arch_sd)
 
 
 def arch_statistics(sequences: list) -> tuple[np.ndarray, np.ndarray]:

@@ -32,13 +32,12 @@ from necurve.autodiff import (
     gather_rows,
     grad_check,
     indicator_matrix,
-    load_checkpoint,
     lstm_sequence,
     narrow,
-    restore_checkpoint,
-    save_checkpoint,
 )
+from necurve.harness import Checkpoint, build_model, load_checkpoint_file, save_checkpoint_file
 from necurve.layers import LstmCell
+from necurve.rankers import RankerConfig, build_ranker
 
 TRIALS = 100
 EPS = 1e-6
@@ -600,35 +599,21 @@ class TestAdam:
 
 
 class TestCheckpoint:
-    def test_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(19)
-        params = {
-            "enc.w": Node(rng.normal(size=(4, 3))),
-            "enc.b": Node(rng.normal(size=(3,))),
-            "scale": Node(np.array(0.123456789012345678)),
-        }
-        path = str(tmp_path / "ckpt.json")
-        save_checkpoint(params, path)
-        loaded = load_checkpoint(path)
-        assert set(loaded) == set(params)
-        for name, node in params.items():
-            np.testing.assert_array_equal(loaded[name], node.value)
-
-    def test_restore_validates_names_and_shapes(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        save_checkpoint({"w": Node(np.ones((2, 2)))}, path)
-        with pytest.raises(ValueError):
-            restore_checkpoint({"w": Node(np.ones(3))}, path)
-        with pytest.raises(ValueError):
-            restore_checkpoint({"w": Node(np.ones((2, 2))), "extra": Node(np.ones(1))}, path)
-
     def test_restore_replaces_values(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        saved = Node(np.array([1.0, 2.0]))
-        save_checkpoint({"w": saved}, path)
-        target = {"w": Node(np.zeros(2))}
-        restore_checkpoint(target, path)
-        np.testing.assert_array_equal(target["w"].value, [1.0, 2.0])
+        config = RankerConfig()
+        fresh = build_ranker(config, [0, 2], np.zeros(2), np.ones(2))
+        saved = {name: node.value + 1.0 for name, node in fresh.params.items()}
+        checkpoint = Checkpoint(
+            ranker_config=config, params=saved, state=fresh.state_arrays(),
+            domains=[0, 2], arch_mean=np.zeros(2), arch_sd=np.ones(2),
+            fraction=0.4, best_epoch=1, validation_auc=None,
+        )
+        path = tmp_path / "ckpt.json"
+        save_checkpoint_file(checkpoint, path)
+        restored = build_model(load_checkpoint_file(path))
+        assert set(restored.params) == set(saved)
+        for name, node in restored.params.items():
+            np.testing.assert_array_equal(node.value, saved[name])
 
 
 class TestGradCheckGuards:

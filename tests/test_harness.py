@@ -5,18 +5,24 @@ and cross-validation report plumbing."""
 from __future__ import annotations
 
 import csv
+import importlib.util
 import json
 import math
+import re
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from necurve.act import MASK_LITERAL, MASK_STRICT
 from necurve.harness import (
     _gather,
     _greedy_jobs,
+    _ranker_config,
     Checkpoint,
     EvalReport,
     EvaluationError,
@@ -43,6 +49,7 @@ from necurve.harness import (
     write_report_json,
 )
 from necurve.curves import LearningCurve, greedy_rank
+from necurve.rankers import RankerConfig
 from necurve.synth import (
     CurvePair,
     DatasetSplit,
@@ -381,6 +388,136 @@ class TestCheckpointPersistence:
         ckpt.params[name] = np.zeros((1, 1, 1))
         with pytest.raises(ValueError, match="shape"):
             build_model(ckpt)
+
+    def test_build_model_rejects_bad_names(self, splits):
+        ckpt = train(splits[0], small_train_config(), fraction=0.4)
+        extra = replace(ckpt, params={**ckpt.params, "extra": np.ones(1)})
+        with pytest.raises(ValueError, match="names"):
+            build_model(extra)
+        missing = replace(ckpt, params=dict(sorted(ckpt.params.items())[1:]))
+        with pytest.raises(ValueError, match="names"):
+            build_model(missing)
+
+    def test_codec_round_trip_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(19)
+        params = {
+            "enc.w": rng.normal(size=(4, 3)),
+            "enc.w_t": rng.normal(size=(3, 4)).T,  # not C-contiguous
+            "scale": np.array(0.123456789012345678),  # 0-d
+        }
+        assert not params["enc.w_t"].flags["C_CONTIGUOUS"]
+        ckpt = plain_checkpoint(params, state={"norm.mean": rng.normal(size=5)})
+        path = tmp_path / "ckpt.json"
+        save_checkpoint_file(ckpt, path)
+        loaded = load_checkpoint_file(path)
+        for saved, restored in ((ckpt.params, loaded.params), (ckpt.state, loaded.state)):
+            assert set(restored) == set(saved)
+            for name, value in saved.items():
+                assert restored[name].shape == value.shape
+                assert restored[name].tobytes() == np.ascontiguousarray(value).tobytes()
+
+    def test_load_rejects_unknown_ranker_config_key(self, tmp_path):
+        path = edited_checkpoint_file(tmp_path, lambda fields: fields.update(width=3))
+        with pytest.raises(ValueError, match=re.escape(str(path)) + r".*unknown keys \['width'\]"):
+            load_checkpoint_file(path)
+
+    def test_load_rejects_missing_ranker_config_key(self, tmp_path):
+        # without the check the gamma=0.2 model would load at the 0.05 default
+        path = edited_checkpoint_file(tmp_path, lambda fields: fields.pop("gamma"))
+        with pytest.raises(ValueError, match=re.escape(str(path)) + r".*missing keys \['gamma'\]"):
+            load_checkpoint_file(path)
+
+
+def plain_checkpoint(params: dict, state: dict) -> Checkpoint:
+    return Checkpoint(
+        ranker_config=RankerConfig(gamma=0.2), params=params, state=state, domains=[0, 2],
+        arch_mean=np.zeros(2), arch_sd=np.ones(2), fraction=0.4, best_epoch=1,
+        validation_auc=None,
+    )
+
+
+def edited_checkpoint_file(tmp_path, edit) -> Path:
+    """A saved checkpoint whose ranker_config dict was passed through edit."""
+    path = tmp_path / "edited.json"
+    save_checkpoint_file(plain_checkpoint({"w": np.ones(2)}, {}), path)
+    payload = json.loads(path.read_text())
+    edit(payload["ranker_config"])
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def explicit_ranker_config(config: TrainConfig, n_obs: int, hp_dim: int,
+                           seed: int) -> RankerConfig:
+    """The field-by-field mapping that _ranker_config replaced, kept as its oracle."""
+    kind, _, suffix = config.ranker.partition("+")
+    return RankerConfig(
+        kind=kind,
+        observed_length=n_obs,
+        use_act=suffix == "act",
+        act_df=config.act_df,
+        gamma=config.gamma,
+        mask_mode=config.mask_mode,
+        lam=config.lam,
+        tcn_layers=config.tcn_layers,
+        tcn_filters=config.tcn_filters,
+        tcn_kernel=config.tcn_kernel,
+        lstm_layers=config.lstm_layers,
+        lstm_dim=config.lstm_dim,
+        embed_dim=config.embed_dim,
+        head_hidden=config.head_hidden,
+        dropout=config.dropout,
+        use_metadata=config.use_metadata,
+        hp_dim=hp_dim,
+        seed=seed,
+    )
+
+
+train_configs = st.builds(
+    TrainConfig,
+    ranker=st.sampled_from(("r2", "r2+act", "siamese", "siamese+act")),
+    dropout=st.floats(0.0, 0.9),
+    seed=st.integers(0, 2**31 - 1),
+    act_df=st.sampled_from((1, 2, 3)),
+    gamma=st.floats(1e-3, 10.0),
+    lam=st.floats(0.0, 10.0),
+    use_metadata=st.booleans(),
+    mask_mode=st.sampled_from((MASK_STRICT, MASK_LITERAL)),
+    tcn_layers=st.integers(1, 8),
+    tcn_filters=st.integers(1, 128),
+    tcn_kernel=st.integers(1, 7),
+    lstm_layers=st.integers(1, 4),
+    lstm_dim=st.integers(1, 128),
+    embed_dim=st.integers(1, 128),
+    head_hidden=st.integers(1, 128),
+)
+
+
+def perfbench_workloads():
+    """perfbench/workloads.py, imported read-only under its own module name."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestRankerConfigMapping:
+    @settings(max_examples=200, deadline=None)
+    @given(train_configs, st.integers(1, 500), st.integers(1, 64), st.integers(0, 2**31 - 1))
+    def test_matches_the_explicit_mapping(self, config, n_obs, hp_dim, seed):
+        assert (_ranker_config(config, n_obs, hp_dim, seed)
+                == explicit_ranker_config(config, n_obs, hp_dim, seed))
+
+    def test_benchmark_times_the_model_that_train_builds(self):
+        workloads = perfbench_workloads()
+        trained = [w for w in workloads.WORKLOADS.values() if w.trained]
+        assert trained
+        for workload in trained:
+            config = workload.train_config(seed=5)
+            for n_obs, hp_dim in ((12, 13), (36, 4)):
+                assert (workloads.ranker_config(config, n_obs, hp_dim)
+                        == _ranker_config(config, n_obs, hp_dim, config.seed)), workload.name
 
 
 class TestGreedyAndConsistency:

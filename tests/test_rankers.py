@@ -166,6 +166,12 @@ class TestConfig:
         assert isinstance(build_ranker(small_config()), RelativeRanker)
         assert isinstance(build_ranker(small_config(kind="siamese")), SiameseRanker)
 
+    def test_class_rejects_the_other_kind(self):
+        with pytest.raises(ValueError, match="'r2'"):
+            RelativeRanker(small_config(kind="siamese"))
+        with pytest.raises(ValueError, match="'siamese'"):
+            SiameseRanker(small_config(kind="r2"))
+
     def test_same_seed_same_initialization(self):
         a = RelativeRanker(small_config(), domains=[0, 1])
         b = RelativeRanker(small_config(), domains=[0, 1])
@@ -308,19 +314,22 @@ class TestRelativeRanker:
             model.distance(batch, train=True, rng=None)
 
     def test_state_roundtrip_restores_eval_forward(self):
+        # the state plumbing lives in the shared shell; check it for both kinds
         rng = np.random.default_rng(25)
         batch = make_batch(rng)
         mean, sd = training_stats(batch)
-        model = RelativeRanker(small_config(), domains=[0, 1, 2, 3], arch_mean=mean,
-                               arch_sd=sd)
-        model.distance(batch, train=True, rng=np.random.default_rng(0))
-        saved = {k: v.copy() for k, v in model.state_arrays().items()}
-        before = model.distance(batch).delta.value.copy()
-        model.distance(make_batch(np.random.default_rng(26)), train=True,
-                       rng=np.random.default_rng(0))
-        model.load_state(saved)
-        after = model.distance(batch).delta.value
-        assert np.array_equal(before, after)
+        for ranker in (RelativeRanker, SiameseRanker):
+            model = ranker(small_config(kind=ranker.kind), domains=[0, 1, 2, 3],
+                           arch_mean=mean, arch_sd=sd)
+            model.distance(batch, train=True, rng=np.random.default_rng(0))
+            saved = {k: v.copy() for k, v in model.state_arrays().items()}
+            before = model.distance(batch).delta.value.copy()
+            model.distance(make_batch(np.random.default_rng(26)), train=True,
+                           rng=np.random.default_rng(0))
+            assert not np.array_equal(model.distance(batch).delta.value, before)
+            model.load_state(saved)
+            after = model.distance(batch).delta.value
+            assert np.array_equal(before, after), ranker.kind
 
 
 class TestSiameseRanker:
