@@ -213,13 +213,14 @@ class Node:
     def __matmul__(self, other) -> "Node":
         return self.matmul(other)
 
-    def transpose(self) -> "Node":
-        if self.value.ndim != 2:
+    def transpose(self, axes: tuple[int, ...] | None = None) -> "Node":
+        """Matrix transpose, or the axis permutation ``axes`` (as ``np.transpose``)."""
+        if axes is None and self.value.ndim != 2:
             raise ValueError("transpose expects a 2-D operand")
-        out = Node(self.value.T, (self,))
+        out = Node(self.value.transpose(axes), (self,))
 
         def _backward(g):
-            self._add_grad(g.T)
+            self._add_grad(g.transpose(None if axes is None else np.argsort(axes)))
 
         out._backward = _backward
         return out
@@ -426,101 +427,144 @@ def batch_norm(
     return _batch_norm(x, gain, shift, axes, eps)[0]
 
 
-def _batch_norm(
-    x: Node, gain: Node, shift: Node, axes: tuple[int, ...], eps: float
-) -> tuple[Node, np.ndarray, np.ndarray]:
-    """``batch_norm`` plus the batch mean and variance (keepdims shape).
-
-    The variance reuses the mean and the centered input; that is the same
-    arithmetic ``np.var`` does, so the statistics are bit-identical to it.
-    """
-    count = float(np.prod([x.shape[a] for a in axes]))
-    if count < 2:
-        raise ValueError("batch norm needs at least 2 elements per feature")
-    mu = x.value.mean(axis=axes, keepdims=True)
-    centered = x.value - mu
-    var = (centered * centered).sum(axis=axes, keepdims=True) / count
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
+def _batch_norm(x: Node, gain: Node, shift: Node, axes: tuple[int, ...],
+                eps: float) -> tuple[Node, np.ndarray, np.ndarray]:
+    """``batch_norm`` plus the batch mean and variance (keepdims shape)."""
+    xhat, inv, mu, var = _standardize(x.value, axes, eps)
     g = gain.value.reshape(mu.shape)
     out = Node(xhat * g + shift.value.reshape(mu.shape), (x, gain, shift))
 
     def _backward(gy):
-        gain._add_grad((gy * xhat).sum(axis=axes).reshape(gain.shape))
-        shift._add_grad(gy.sum(axis=axes).reshape(shift.shape))
-        gx_hat = gy * g
-        # through mean and variance of the batch
-        x._add_grad(
-            inv
-            / count
-            * (
-                count * gx_hat
-                - gx_hat.sum(axis=axes, keepdims=True)
-                - xhat * (gx_hat * xhat).sum(axis=axes, keepdims=True)
-            )
-        )
+        gx, g_gain, g_shift = _standardize_backward(gy, xhat, inv, g, axes)
+        gain._add_grad(g_gain.reshape(gain.shape))
+        shift._add_grad(g_shift.reshape(shift.shape))
+        x._add_grad(gx)
 
     out._backward = _backward
     return out, mu, var
 
 
-def conv1d_causal(
-    x: Node, weights: Node, dilation: int = 1, bias: Node | None = None
-) -> Node:
+def _standardize(x: np.ndarray, axes: tuple[int, ...], eps: float):
+    """(xhat, inv, mean, var) of ``xhat = (x - mean) / sqrt(var + eps)`` over
+    ``axes``, statistics in keepdims shape.  The variance is the arithmetic
+    ``np.var`` does, so the statistics are bit-identical to it."""
+    count = float(np.prod([x.shape[a] for a in axes]))
+    if count < 2:
+        raise ValueError("batch norm needs at least 2 elements per feature")
+    mu = x.mean(axis=axes, keepdims=True)
+    xhat = x - mu
+    var = (xhat * xhat).sum(axis=axes, keepdims=True) / count
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv
+    return xhat, inv, mu, var
+
+
+def _standardize_backward(gy, xhat, inv, gain, axes):
+    """Gradients (input, gain, shift) of ``xhat * gain + shift``, the last two
+    in keepdims shape; through the batch statistics unless ``inv`` is None."""
+    count = float(np.prod([xhat.shape[a] for a in axes]))
+    g_shift = gy.sum(axis=axes, keepdims=True)
+    g_gain = (gy * xhat).sum(axis=axes, keepdims=True)
+    if inv is None:
+        return gy * gain, g_gain, g_shift
+    gx = xhat * (g_gain / count)
+    np.subtract(gy, gx, out=gx)
+    gx -= g_shift / count
+    gx *= gain * inv
+    return gx, g_gain, g_shift
+
+
+def _causal_conv(x_cbt: np.ndarray, weights: Node, dilation: int, bias: Node | None):
+    """Im2col causal convolution of a channel-major (C, B, T) array.
+
+    Row ``i*C + c`` of the (used*C, B*T) column matrix is channel c shifted
+    right by ``dilation*i`` and zero-padded, for the ``used`` taps with
+    ``dilation*i < T``.  Returns the (O, B*T) GEMM output and its backward,
+    which adds the weight and bias gradients and returns the input's.
+    """
+    if x_cbt.ndim != 3 or weights.value.ndim != 3 or dilation < 1:
+        raise ValueError("causal convolution needs 3-D input, (O, C, K) weights, dilation >= 1")
+    channels, batch, length = x_cbt.shape
+    out_channels, in_channels, taps = weights.shape
+    if channels != in_channels:
+        raise ValueError(f"channel mismatch: input has {channels}, weights expect {in_channels}")
+    used = min(taps, (length - 1) // dilation + 1)
+    columns = np.zeros((used, channels, batch, length))
+    for i in range(used):
+        columns[i, :, :, dilation * i:] = x_cbt[:, :, : length - dilation * i]
+    columns = columns.reshape(used * channels, batch * length)
+    w_mat = weights.value[:, :, :used].transpose(0, 2, 1).reshape(out_channels, -1)
+    z = w_mat @ columns
+    if bias is not None:
+        z += bias.value.reshape(out_channels, 1)
+
+    def backward(gz: np.ndarray) -> np.ndarray:
+        if bias is not None:
+            bias._add_grad(gz.sum(axis=1).reshape(bias.shape))
+        gw = np.zeros(weights.shape)
+        gw[:, :, :used] = (gz @ columns.T).reshape(out_channels, used, -1).transpose(0, 2, 1)
+        weights._add_grad(gw)
+        g_columns = (w_mat.T @ gz).reshape(used, channels, batch, length)
+        for i in range(1, used):
+            g_columns[0, :, :, : length - dilation * i] += g_columns[i, :, :, dilation * i:]
+        return g_columns[0]
+
+    return z, backward
+
+
+def conv1d_causal(x: Node, weights: Node, dilation: int = 1, bias: Node | None = None) -> Node:
     """Dilated causal 1-D convolution as one GEMM over shifted inputs (im2col).
 
     ``x`` is (batch, in_channels, time), ``weights`` is (out_channels,
     in_channels, taps).  Output at time t sums tap i against the input at
     time ``t - dilation*i``; positions before the start read as zero, so the
-    output never looks ahead.
-
-    Im2col layout: row ``i*C + c`` of the (used*C, B*T) column matrix is
-    channel c shifted right by ``dilation*i`` and zero-padded, for the
-    ``used`` taps with ``dilation*i < T``; column ``b*T + t`` is one (batch,
-    time) position.  The forward is one GEMM with the (O, used*C) weights; the
-    backward is ``gy @ columns.T`` for the weights and ``weights.T @ gy`` for
-    the columns, scatter-added back into the input tap by tap.  An optional
-    (O,) ``bias`` is added to the GEMM output in place, so it costs no extra
-    full-size array.
+    output never looks ahead.  An optional (O,) ``bias`` is added to the GEMM
+    output in place.  This public op transposes to and from the channel-major
+    layout of ``_causal_conv``; ``layers.TcnEncoder`` stays channel-major and
+    runs each layer as one ``_conv_norm_relu`` node instead.
     """
-    if x.value.ndim != 3 or weights.value.ndim != 3:
+    if x.value.ndim != 3:
         raise ValueError("conv1d_causal expects (B, C, T) input and (O, C, K) weights")
-    if x.shape[1] != weights.shape[1]:
-        raise ValueError(
-            f"channel mismatch: input has {x.shape[1]}, weights expect {weights.shape[1]}"
-        )
-    if dilation < 1:
-        raise ValueError("dilation must be >= 1")
-    batch, channels, length = x.shape
-    out_channels, _, taps = weights.shape
-    used = min(taps, (length - 1) // dilation + 1)
-    offsets = [dilation * i for i in range(used)]
-    columns = np.zeros((used, channels, batch, length))
-    x_cbt = x.value.transpose(1, 0, 2)
-    for i, offset in enumerate(offsets):
-        columns[i, :, :, offset:] = x_cbt[:, :, : length - offset]
-    columns = columns.reshape(used * channels, batch * length)
-    w_mat = weights.value[:, :, :used].transpose(0, 2, 1).reshape(out_channels, -1)
-    value = w_mat @ columns
-    if bias is not None:
-        value += bias.value.reshape(out_channels, 1)
-    value = value.reshape(out_channels, batch, length).transpose(1, 0, 2)
+    batch, _, length = x.shape
+    z, conv_backward = _causal_conv(x.value.transpose(1, 0, 2), weights, dilation, bias)
     parents = (x, weights) if bias is None else (x, weights, bias)
-    out = Node(np.ascontiguousarray(value), parents)
+    out = Node(np.ascontiguousarray(z.reshape(-1, batch, length).transpose(1, 0, 2)), parents)
 
     def _backward(g):
-        gy = g.transpose(1, 0, 2).reshape(out_channels, batch * length)
-        if bias is not None:
-            bias._add_grad(gy.sum(axis=1).reshape(bias.shape))
-        gw = np.zeros(weights.shape)
-        gw[:, :, :used] = (gy @ columns.T).reshape(out_channels, used, -1).transpose(0, 2, 1)
-        weights._add_grad(gw)
-        g_columns = (w_mat.T @ gy).reshape(used, channels, batch, length)
-        gx = np.zeros(x.shape)
-        gx_cbt = gx.transpose(1, 0, 2)
-        for i, offset in enumerate(offsets):
-            gx_cbt[:, :, : length - offset] += g_columns[i, :, :, offset:]
-        x._add_grad(gx)
+        gx = conv_backward(g.transpose(1, 0, 2).reshape(-1, batch * length))
+        x._add_grad(np.ascontiguousarray(gx.transpose(1, 0, 2)))
+
+    out._backward = _backward
+    return out
+
+
+def _conv_norm_relu(x: Node, weights: Node, bias: Node, norm, dilation: int,
+                    train: bool) -> Node:
+    """One TCN layer, ``relu(norm(conv(x) + bias))``, as one tape node.
+
+    ``x`` is (C, B, T) and the output (O, B, T), so the (O, B*T) GEMM output
+    needs no transpose and batch statistics are contiguous row reductions.
+    ``norm`` is a ``layers.BatchNorm``: train mode standardizes by the batch
+    statistics and passes them to ``norm.update``, eval mode applies
+    ``norm.affine()``."""
+    z, conv_backward = _causal_conv(x.value, weights, dilation, bias)
+    _, batch, length = x.shape
+    if train:
+        xhat, inv, mu, var = _standardize(z, (1,), norm.eps)
+        norm.update(mu, var)
+        scale, offset = norm.gain, norm.shift
+    else:
+        (xhat, inv), (scale, offset) = (z, None), norm.affine()
+    s = scale.value.reshape(-1, 1)
+    y = np.maximum(xhat * s + offset.value.reshape(-1, 1), 0.0)
+    out = Node(y.reshape(-1, batch, length), (x, weights, bias, scale, offset))
+
+    def _backward(g):
+        gy = np.where(y > 0.0, g.reshape(y.shape), 0.0)
+        gz, g_scale, g_shift = _standardize_backward(gy, xhat, inv, s, (1,))
+        scale._add_grad(g_scale.reshape(scale.shape))
+        offset._add_grad(g_shift.reshape(offset.shape))
+        x._add_grad(conv_backward(gz))
 
     out._backward = _backward
     return out
@@ -671,32 +715,10 @@ def grad_check(fn, point: np.ndarray, eps: float = 1e-5) -> float:
 
     ``fn`` maps a Node to a scalar Node and must be deterministic (seed any
     randomness inside).  Relative error per coordinate is
-    ``|analytic - numeric| / max(1, |numeric|)``.
+    ``|analytic - numeric| / max(1, |numeric|)``; see ``grad_check_params``.
     """
-    point = _as_array(point)
-    leaf = Node(point.copy())
-    out = fn(leaf)
-    if out.value.size != 1:
-        raise ValueError("grad_check target must be scalar-valued")
-    if not np.isfinite(out.value).all():
-        raise GradCheckError("non-finite value at the evaluation point")
-    out.backward()
-    analytic = leaf.grad.copy()
-
-    worst = 0.0
-    flat = point.reshape(-1)
-    for i in range(flat.size):
-        shifted = flat.copy()
-        shifted[i] += eps
-        hi = float(fn(Node(shifted.reshape(point.shape))).value)
-        shifted[i] -= 2 * eps
-        lo = float(fn(Node(shifted.reshape(point.shape))).value)
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise GradCheckError(f"non-finite evaluation at coordinate {i}")
-        numeric = (hi - lo) / (2.0 * eps)
-        error = abs(analytic.reshape(-1)[i] - numeric) / max(1.0, abs(numeric))
-        worst = max(worst, error)
-    return worst
+    leaf = Node(_as_array(point).copy())
+    return grad_check_params(lambda: fn(leaf), {"point": leaf}, eps)
 
 
 def grad_check_params(
@@ -719,6 +741,8 @@ def grad_check_params(
     loss = build_loss()
     if loss.value.size != 1:
         raise ValueError("loss must be scalar-valued")
+    if not np.isfinite(loss.value).all():
+        raise GradCheckError("non-finite value at the evaluation point")
     loss.backward()
     analytic = {name: p.grad.copy() for name, p in params.items()}
 

@@ -274,11 +274,17 @@ def build_model(checkpoint: Checkpoint):
         checkpoint.ranker_config, checkpoint.domains,
         checkpoint.arch_mean, checkpoint.arch_sd,
     )
-    if set(model.params) != set(checkpoint.params):
-        raise ValueError("checkpoint parameter names disagree with the model")
+    params = {name: node.value for name, node in model.params.items()}
+    for kind, own, saved in (("parameter", params, checkpoint.params),
+                             ("state", model.state_arrays(), checkpoint.state)):
+        if set(own) != set(saved):
+            raise ValueError(f"checkpoint {kind} names disagree with the model: missing "
+                             f"{sorted(set(own) - set(saved))}, "
+                             f"unknown {sorted(set(saved) - set(own))}")
+        for name, value in own.items():
+            if saved[name].shape != value.shape:
+                raise ValueError(f"checkpoint shape mismatch for {kind} {name!r}")
     for name, node in model.params.items():
-        if checkpoint.params[name].shape != node.value.shape:
-            raise ValueError(f"checkpoint shape mismatch for {name!r}")
         node.value = checkpoint.params[name].copy()
         node.grad = None
     model.load_state(checkpoint.state)
@@ -297,10 +303,13 @@ def _encode_arrays(arrays: dict) -> dict:
     }
 
 
-def _decode_arrays(payload: dict) -> dict:
+def _decode_arrays(payload: dict, path) -> dict:
     out = {}
     for name, entry in payload.items():
         data = np.frombuffer(base64.b64decode(entry["data"]), dtype=np.float64)
+        if data.size != np.prod(entry["shape"]):
+            raise ValueError(f"checkpoint {path}: array {name!r} holds {data.size} "
+                             f"values, which do not fit shape {entry['shape']}")
         out[name] = data.reshape(entry["shape"]).copy()
     return out
 
@@ -331,8 +340,8 @@ def load_checkpoint_file(path) -> Checkpoint:
                          f"{sorted(keys - names)} and missing keys {sorted(names - keys)}")
     return Checkpoint(
         ranker_config=RankerConfig(**payload["ranker_config"]),
-        params=_decode_arrays(payload["params"]),
-        state=_decode_arrays(payload["state"]),
+        params=_decode_arrays(payload["params"], path),
+        state=_decode_arrays(payload["state"], path),
         domains=list(payload["domains"]),
         arch_mean=np.array(payload["arch_mean"]),
         arch_sd=np.array(payload["arch_sd"]),

@@ -10,14 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from necurve.autodiff import (
-    Node,
-    _batch_norm,
-    avg_pool_time,
-    conv1d_causal,
-    lstm_sequence,
-    narrow,
-)
+from necurve.autodiff import Node, _batch_norm, _conv_norm_relu, lstm_sequence, narrow
 
 
 def glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -108,17 +101,22 @@ class BatchNorm:
     def __call__(self, x: Node, train: bool) -> Node:
         if train:
             out, mu, var = _batch_norm(x, self.gain, self.shift, self.axes, self.eps)
-            self.running_mean += self.momentum * (mu.reshape(-1) - self.running_mean)
-            self.running_var += self.momentum * (var.reshape(-1) - self.running_var)
+            self.update(mu, var)
             return out
-        stat_shape = [1] * x.value.ndim
-        feature_axis = next(a for a in range(x.value.ndim) if a not in self.axes)
-        stat_shape[feature_axis] = len(self.running_mean)
-        # (x - mu) * inv * g + s as one per-feature scale and offset
+        shape = [1 if a in self.axes else -1 for a in range(x.value.ndim)]
+        scale, offset = self.affine()
+        return x * scale.reshape(*shape) + offset.reshape(*shape)
+
+    def update(self, mu: np.ndarray, var: np.ndarray) -> None:
+        """Momentum step of the running statistics towards a batch's."""
+        self.running_mean += self.momentum * (mu.reshape(-1) - self.running_mean)
+        self.running_var += self.momentum * (var.reshape(-1) - self.running_var)
+
+    def affine(self) -> tuple[Node, Node]:
+        """Eval mode ``(x - mu) * inv * g + s`` as one per-feature scale and offset."""
         inv = 1.0 / np.sqrt(self.running_var + self.eps)
         scale = self.gain * inv
-        offset = self.shift - scale * self.running_mean
-        return x * scale.reshape(*stat_shape) + offset.reshape(*stat_shape)
+        return scale, self.shift - scale * self.running_mean
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {"mean": self.running_mean, "var": self.running_var}
@@ -127,8 +125,10 @@ class BatchNorm:
 class TcnEncoder:
     """Stack of dilated causal convolutions ending in time-average pooling.
 
-    Layer k uses dilation 2^k; each layer is conv, per-channel norm, ReLU.
-    Receptive field with kernel 3 and 4 layers: 1 + 2*(1+2+4+8) = 31 steps.
+    Layer k uses dilation 2^k; each layer (conv, per-channel norm, ReLU) is
+    one ``_conv_norm_relu`` tape node on channel-major (C, B, T) activations,
+    transposed once on entry and once on exit.  Receptive field with kernel 3
+    and 4 layers: 1 + 2*(1+2+4+8) = 31 steps.
     """
 
     def __init__(self, params: dict[str, Node], name: str, in_channels: int,
@@ -152,14 +152,17 @@ class TcnEncoder:
         kernel = self.convs[0][0].shape[2]
         return 1 + (kernel - 1) * sum(self.dilations)
 
+    def _channel_major(self, x: Node, train: bool) -> Node:
+        """(B, C, T) -> (filters, B, T)."""
+        x = x.transpose((1, 0, 2))
+        for (w, b), norm, dilation in zip(self.convs, self.norms, self.dilations):
+            x = _conv_norm_relu(x, w, b, norm, dilation, train)
+        return x
+
     def features_over_time(self, x: Node, train: bool) -> Node:
         """(B, C, T) -> (B, filters, T), pre-pooling activations."""
-        for (w, b), norm, dilation in zip(self.convs, self.norms, self.dilations):
-            x = conv1d_causal(x, w, dilation, bias=b)
-            x = norm(x, train)
-            x = x.relu()
-        return x
+        return self._channel_major(x, train).transpose((1, 0, 2))
 
     def __call__(self, x: Node, train: bool) -> Node:
         """(B, C, T) -> (B, filters)."""
-        return avg_pool_time(self.features_over_time(x, train))
+        return self._channel_major(x, train).mean(axis=2).T

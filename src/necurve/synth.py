@@ -191,7 +191,7 @@ def _ctr_path(params: CurveParams, config: GeneratorConfig,
               rng: np.random.Generator) -> np.ndarray:
     n = params.n_examples
     if config.ctr_drift == 0.0:
-        return np.full(n, params.ctr0)
+        return np.full(1, params.ctr0)
     # slow random walk folded back into the admissible band
     start = min(max(params.ctr0, CTR_WALK_LOW), CTR_WALK_HIGH)
     walk = start + np.cumsum(rng.normal(0.0, config.ctr_drift, size=n))
@@ -214,7 +214,8 @@ def _stream_parts(
     """Returns (base normalized loss with noise, ramp, normalizer, ctr path).
 
     Per-example losses are ``(base + kick * ramp) * normalizer``; keeping the
-    pieces separate makes curve summaries linear in the ramp height.
+    pieces separate makes curve summaries linear in the ramp height.  Without
+    CTR drift, normalizer and ctr are (1,) arrays that broadcast.
     """
     if params.floor - params.season - config.noise <= 0.0:
         raise GenerationError(
@@ -243,7 +244,7 @@ def generate_stream(params: CurveParams, config: GeneratorConfig, seed) -> LossS
     rng = np.random.default_rng(seed)
     base, ramp, normalizer, ctr = _stream_parts(params, config, rng)
     losses = (base + params.kick * ramp) * normalizer
-    prefix = np.cumsum(ctr) / np.arange(1, params.n_examples + 1)
+    prefix = np.cumsum(np.broadcast_to(ctr, len(base))) / np.arange(1, len(base) + 1)
     return LossStream(losses=losses, ctr_prefix=prefix)
 
 
@@ -280,8 +281,11 @@ def _summarize(draft_params: CurveParams, config: GeneratorConfig,
     epc = draft_params.checkpoint_scale
     counts = np.arange(epc, n + 1, epc, dtype=np.int64)
     cs_base = np.cumsum(base * normalizer)
-    cs_ramp = np.cumsum(ramp * normalizer)
-    cs_ctr = np.cumsum(ctr)
+    # the ramp is exactly zero before ``start``, so its prefix sums are too
+    start = int(np.searchsorted(ramp, 0.0, side="right"))
+    cs_ramp = np.zeros(n)
+    cs_ramp[start:] = np.cumsum(ramp[start:] * np.broadcast_to(normalizer, n)[start:])
+    cs_ctr = np.cumsum(np.broadcast_to(ctr, n))
     idx = counts - 1
     prefix_ctr = cs_ctr[idx] / counts
     norm_cp = -(prefix_ctr * np.log(prefix_ctr) + (1 - prefix_ctr) * np.log1p(-prefix_ctr))

@@ -23,6 +23,7 @@ from necurve.autodiff import (
     Node,
     TapeReuseError,
     _batch_norm,
+    _conv_norm_relu,
     adam_step,
     avg_pool_time,
     batch_norm,
@@ -36,7 +37,7 @@ from necurve.autodiff import (
     narrow,
 )
 from necurve.harness import Checkpoint, build_model, load_checkpoint_file, save_checkpoint_file
-from necurve.layers import LstmCell
+from necurve.layers import BatchNorm, LstmCell
 from necurve.rankers import RankerConfig, build_ranker
 
 TRIALS = 100
@@ -282,6 +283,15 @@ class TestGradCheckPerOp:
                 EPS,
             ) <= TOL
 
+    def test_transpose_axes(self):
+        rng = np.random.default_rng(27)
+        for _ in range(TRIALS):
+            axes = tuple(int(a) for a in rng.permutation(3))
+            w = rng.normal(size=np.array((2, 3, 4))[list(axes)])
+            assert grad_check(
+                lambda x: (x.transpose(axes) * w).sum(), rng.normal(size=(2, 3, 4)), EPS
+            ) <= TOL
+
     def test_conv1d_causal(self):
         rng = np.random.default_rng(14)
         for _ in range(TRIALS):
@@ -493,6 +503,114 @@ class TestConvReference:
         np.testing.assert_allclose(out.value, value, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(xn.grad, gx, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(wn.grad, gw, rtol=1e-12, atol=1e-12)
+
+
+def tcn_layer_norm(gain, shift, running_mean, running_var) -> BatchNorm:
+    """A (B, O, T) batch norm over axes (0, 2) holding the given arrays."""
+    norm = BatchNorm({}, "norm", len(gain), axes=(0, 2))
+    norm.gain.value, norm.shift.value = gain.copy(), shift.copy()
+    norm.running_mean[...], norm.running_var[...] = running_mean, running_var
+    return norm
+
+
+def unfused_tcn_layer(x, w, b, stats, train, dilation, gy):
+    """``relu(BatchNorm(conv1d_causal(x, w, d, bias=b)))`` from the separate
+    ops on (B, C, T) arrays: the value, the running statistics after the
+    call, and the x, w, b, gain and shift gradients under ``gy``."""
+    norm = tcn_layer_norm(*stats)
+    xn, wn, bn = Node(x), Node(w), Node(b)
+    out = norm(conv1d_causal(xn, wn, dilation, bias=bn), train).relu()
+    (out * gy).sum().backward()
+    grads = [xn.grad, wn.grad, bn.grad, norm.gain.grad, norm.shift.grad]
+    return out.value, (norm.running_mean, norm.running_var), grads
+
+
+def fused_tcn_layer(x, w, b, stats, train, dilation, gy):
+    """``_conv_norm_relu`` on the channel-major input, mapped back to the
+    (B, C, T) layout of ``unfused_tcn_layer``."""
+    norm = tcn_layer_norm(*stats)
+    xn, wn, bn = Node(np.ascontiguousarray(x.transpose(1, 0, 2))), Node(w), Node(b)
+    out = _conv_norm_relu(xn, wn, bn, norm, dilation, train)
+    (out * gy.transpose(1, 0, 2)).sum().backward()
+    grads = [xn.grad.transpose(1, 0, 2), wn.grad, bn.grad, norm.gain.grad, norm.shift.grad]
+    return out.value.transpose(1, 0, 2), (norm.running_mean, norm.running_var), grads
+
+
+def tcn_layer_case(rng, batch, channels, out_channels, length, taps):
+    x = rng.normal(size=(batch, channels, length))
+    w = rng.normal(size=(out_channels, channels, taps))
+    b = rng.normal(size=out_channels)
+    stats = (rng.uniform(0.5, 1.5, size=out_channels), rng.normal(size=out_channels),
+             rng.normal(size=out_channels), rng.uniform(0.5, 2.0, size=out_channels))
+    return x, w, b, stats
+
+
+class TestConvNormReluReference:
+    """The fused TCN layer against the composition of the separate ops."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        batch=st.integers(1, 4),
+        channels=st.integers(1, 4),
+        out_channels=st.integers(1, 4),
+        length=st.integers(1, 12),
+        taps=st.integers(1, 5),
+        dilation=st.integers(1, 8),
+        train=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(batch=2, channels=3, out_channels=2, length=1, taps=3, dilation=1,
+             train=True, seed=0)
+    @example(batch=3, channels=1, out_channels=2, length=1, taps=2, dilation=2,
+             train=False, seed=1)
+    @example(batch=2, channels=2, out_channels=3, length=5, taps=3, dilation=4,
+             train=True, seed=2)
+    @example(batch=1, channels=2, out_channels=3, length=4, taps=4, dilation=8,
+             train=True, seed=3)
+    def test_matches_unfused_ops(
+        self, batch, channels, out_channels, length, taps, dilation, train, seed
+    ):
+        if train and batch * length < 2:
+            return  # batch statistics need two elements per channel
+        rng = np.random.default_rng(seed)
+        x, w, b, stats = tcn_layer_case(rng, batch, channels, out_channels, length, taps)
+        gy = rng.normal(size=(batch, out_channels, length))
+        value, running, grads = fused_tcn_layer(x, w, b, stats, train, dilation, gy)
+        ref_value, ref_running, ref_grads = unfused_tcn_layer(
+            x, w, b, stats, train, dilation, gy
+        )
+        np.testing.assert_allclose(value, ref_value, rtol=1e-12, atol=1e-12)
+        for got, want in zip(running, ref_running):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        if not train:
+            np.testing.assert_array_equal(running[0], stats[2])
+        for got, want in zip(grads, ref_grads):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_single_batch_element_rejected_in_train_mode(self):
+        x, w, b, stats = tcn_layer_case(np.random.default_rng(0), 1, 2, 3, 1, 2)
+        with pytest.raises(ValueError, match="2 elements"):
+            _conv_norm_relu(Node(x.transpose(1, 0, 2)), Node(w), Node(b),
+                            tcn_layer_norm(*stats), 1, True)
+
+    def test_grad_check_each_input(self):
+        rng = np.random.default_rng(26)
+        for trial in range(TRIALS):
+            train = trial % 2 == 0
+            dilation = int(rng.integers(1, 4))
+            x, w, b, stats = tcn_layer_case(rng, 2, 2, 3, 5, 2)
+            inputs = [np.ascontiguousarray(x.transpose(1, 0, 2)), w, b, stats[0], stats[1]]
+            s = rng.normal(size=(3, 2, 5))
+            for k, point in enumerate(inputs):
+
+                def fn(v, k=k):
+                    args = [Node(a) for a in inputs]
+                    args[k] = v
+                    norm = tcn_layer_norm(*stats)
+                    norm.gain, norm.shift = args[3], args[4]
+                    return (_conv_norm_relu(*args[:3], norm, dilation, train) * s).sum()
+
+                assert grad_check(fn, point, EPS) <= TOL
 
 
 def unrolled_lstm(x, h0, c0, wx, wh, b, gy):

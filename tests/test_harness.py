@@ -427,6 +427,26 @@ class TestCheckpointPersistence:
         with pytest.raises(ValueError, match=re.escape(str(path)) + r".*missing keys \['gamma'\]"):
             load_checkpoint_file(path)
 
+    def test_load_names_file_and_array_of_a_bad_shape(self, splits, tmp_path):
+        path = tmp_path / "model.json"
+        save_checkpoint_file(train(splits[0], small_train_config(), fraction=0.4), path)
+        payload = json.loads(path.read_text())
+        name = sorted(payload["params"])[0]
+        payload["params"][name]["shape"] = [2, 2]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + re.escape(repr(name))):
+            load_checkpoint_file(path)
+
+    def test_build_names_a_missing_state_array(self, splits, tmp_path):
+        path = tmp_path / "model.json"
+        save_checkpoint_file(train(splits[0], small_train_config(), fraction=0.4), path)
+        payload = json.loads(path.read_text())
+        del payload["state"]["hp_norm.mean"]
+        path.write_text(json.dumps(payload))
+        checkpoint = load_checkpoint_file(path)
+        with pytest.raises(ValueError, match=r"checkpoint state names.*missing \['hp_norm.mean'\]"):
+            build_model(checkpoint)
+
 
 def plain_checkpoint(params: dict, state: dict) -> Checkpoint:
     return Checkpoint(

@@ -20,6 +20,7 @@ from necurve.curves import (
     LossStream,
     WindowSpec,
     lne_curve,
+    log_loss,
     wne_direct,
     wne_from_lne,
 )
@@ -31,6 +32,8 @@ from necurve.synth import (
     LabelingError,
     ModelRecord,
     SplitError,
+    _stream_parts,
+    _summarize,
     generate_dataset,
     generate_stream,
     grouped_kfold,
@@ -200,6 +203,64 @@ class TestGenerateStream:
         )
         window_shift = wne_direct(kicked, spec) - wne_direct(base, spec)
         assert window_shift > 4.0 * lifetime_shift / base.range_normalizer(1, n)
+
+
+def full_length_parts(params: CurveParams, config: GeneratorConfig, seed):
+    """``_stream_parts`` with the CTR path and its normalizer at full length,
+    the normalizer computed per example from the full-length CTR."""
+    base, ramp, normalizer, ctr = _stream_parts(params, config, np.random.default_rng(seed))
+    ctr = np.broadcast_to(ctr, params.n_examples).copy()
+    full = -(ctr * np.log(ctr) + (1.0 - ctr) * np.log1p(-ctr))
+    np.testing.assert_array_equal(np.broadcast_to(normalizer, full.shape), full)
+    return base, ramp, full, ctr
+
+
+def direct_summary(params: CurveParams, config: GeneratorConfig, seed) -> tuple:
+    """What ``_summarize`` returns, from full-length cumulative sums of every
+    per-example array: its reference."""
+    base, ramp, normalizer, ctr = full_length_parts(params, config, seed)
+    n = params.n_examples
+    counts = np.arange(params.checkpoint_scale, n + 1, params.checkpoint_scale)
+    cs_base, cs_ramp, cs_ctr = (np.cumsum(a) for a in (base * normalizer, ramp * normalizer, ctr))
+    prefix = cs_ctr[counts - 1] / counts
+    window = min(config.resolved_day_window, n)
+
+    def last_window(cs):
+        return cs[-1] - (cs[n - window - 1] if window < n else 0.0)
+
+    ctr_win = last_window(cs_ctr) / window
+    return (counts, cs_base[counts - 1], cs_ramp[counts - 1],
+            -(prefix * np.log(prefix) + (1 - prefix) * np.log1p(-prefix)),
+            last_window(cs_base), last_window(cs_ramp), log_loss(ctr_win, ctr_win), window)
+
+
+class TestSummaries:
+    """``_summarize`` and ``generate_stream`` skip the constant CTR path and the
+    zero part of the ramp; both stay bitwise equal to full-length arithmetic."""
+
+    @pytest.mark.parametrize("drift", [0.0, 0.002])
+    @pytest.mark.parametrize("day_window", [37, 10**6])
+    @pytest.mark.parametrize("n_examples, per_checkpoint", [(1500, 10), (7, 1), (1, 1)])
+    def test_summarize_matches_full_length_reductions(self, drift, day_window, n_examples,
+                                                      per_checkpoint):
+        config = GeneratorConfig(ctr_drift=drift, day_window=day_window)
+        params = stream_params(n_examples=n_examples, checkpoint_scale=per_checkpoint)
+        for seed in range(3):
+            got = _summarize(params, config, [11, seed])
+            want = direct_summary(params, config, [11, seed])
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("drift", [0.0, 0.002])
+    def test_stream_matches_full_length_arithmetic(self, drift):
+        config = GeneratorConfig(ctr_drift=drift)
+        params = stream_params(kick=0.4)
+        stream = generate_stream(params, config, seed=5)
+        base, ramp, normalizer, ctr = full_length_parts(params, config, 5)
+        n = params.n_examples
+        np.testing.assert_array_equal(stream.losses, (base + params.kick * ramp) * normalizer)
+        np.testing.assert_array_equal(stream.ctr_prefix, np.cumsum(ctr) / np.arange(1, n + 1))
 
 
 class TestGenerateDataset:
