@@ -1,9 +1,18 @@
 """Reverse-mode differentiation on numpy arrays.
 
 A ``Node`` wraps a float64 array plus a backward rule; ``backward`` on a
-scalar root walks the tape once in reverse topological order.  Tapes are
-single-shot: running backward over nodes that already took part in a
-backward pass raises ``TapeReuseError``.  Build a fresh graph per step.
+scalar root walks the tape once in reverse topological order.
+
+Tape lifecycle.  Every op attaches its parents and rule through ``_op``, the
+one place that decides whether to record.  Inside a ``no_grad()`` scope ops
+record nothing: an output keeps no parents and no rule, so the arrays a rule
+would have saved die when the op returns, and ``backward`` from it raises.
+The scope is thread-local, so a thread scoring under it does not stop
+another from training.  Tapes are single-shot: as ``backward`` walks, it
+releases each node whose rule has run (rule, parents and gradient), so saved
+arrays are freed during the walk and only leaves keep their gradients.
+Running backward again over a consumed graph raises ``TapeReuseError``;
+build a fresh graph per step.
 
 A rule is called as ``node._backward(node.grad)``: it receives the output
 gradient and adds into its parents' gradients.  Rules capture their parents
@@ -21,14 +30,16 @@ as indicator-matrix multiplication so no op needs a scatter backward).
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 
 class TapeReuseError(RuntimeError):
-    """Backward ran twice over the same graph without a rebuild."""
+    """Backward over a graph with no tape: already consumed, or built under ``no_grad``."""
 
 
 class DomainError(ValueError):
@@ -62,11 +73,11 @@ class Node:
     # make numpy defer ndarray-on-the-left arithmetic to our reflected ops
     __array_ufunc__ = None
 
-    def __init__(self, value, parents: tuple["Node", ...] = ()):
+    def __init__(self, value):
         self.value = _as_array(value)
         self._grad = None
         self._backward = None
-        self._parents = parents
+        self._parents = ()  # None marks an op output built under no_grad
         self._spent = False
 
     @property
@@ -101,6 +112,8 @@ class Node:
     def backward(self) -> None:
         if self.value.size != 1:
             raise ValueError(f"backward needs a scalar root, got shape {self.shape}")
+        if self._parents is None:
+            raise TapeReuseError("graph was built under no_grad; rebuild it outside the scope")
         topo: list[Node] = []
         visited: set[int] = set()
         stack = [(self, False)]
@@ -113,7 +126,7 @@ class Node:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
+            for parent in node._parents or ():
                 stack.append((parent, False))
         for node in topo:
             if node._spent:
@@ -124,38 +137,35 @@ class Node:
             node._spent = True
         self._grad = np.ones_like(self.value)
         for node in reversed(topo):
-            if node._backward is not None and node._grad is not None:
-                node._backward(node._grad)
+            if node._backward is not None:
+                if node._grad is not None:
+                    node._backward(node._grad)
+                node._backward, node._parents, node._grad = None, (), None
 
     # -- broadcast arithmetic -------------------------------------------
 
     def __add__(self, other) -> "Node":
         other = other if isinstance(other, Node) else Node(other)
-        out = Node(self.value + other.value, (self, other))
 
         def _backward(g):
             self._add_grad(_unbroadcast(g, self.shape))
             other._add_grad(_unbroadcast(g, other.shape))
 
-        out._backward = _backward
-        return out
+        return _op(self.value + other.value, (self, other), _backward)
 
     def __mul__(self, other) -> "Node":
         other = other if isinstance(other, Node) else Node(other)
-        out = Node(self.value * other.value, (self, other))
 
         def _backward(g):
             self._add_grad(_unbroadcast(other.value * g, self.shape))
             other._add_grad(_unbroadcast(self.value * g, other.shape))
 
-        out._backward = _backward
-        return out
+        return _op(self.value * other.value, (self, other), _backward)
 
     def __truediv__(self, other) -> "Node":
         other = other if isinstance(other, Node) else Node(other)
         if np.any(other.value == 0.0):
             raise DomainError("division by zero")
-        out = Node(self.value / other.value, (self, other))
 
         def _backward(g):
             self._add_grad(_unbroadcast(g / other.value, self.shape))
@@ -163,19 +173,16 @@ class Node:
                 _unbroadcast(-self.value / (other.value**2) * g, other.shape)
             )
 
-        out._backward = _backward
-        return out
+        return _op(self.value / other.value, (self, other), _backward)
 
     def __pow__(self, exponent) -> "Node":
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        out = Node(self.value**exponent, (self,))
 
         def _backward(g):
             self._add_grad(exponent * self.value ** (exponent - 1) * g)
 
-        out._backward = _backward
-        return out
+        return _op(self.value**exponent, (self,), _backward)
 
     def __neg__(self) -> "Node":
         return self * -1.0
@@ -201,14 +208,12 @@ class Node:
         other = other if isinstance(other, Node) else Node(other)
         if self.value.ndim != 2 or other.value.ndim != 2:
             raise ValueError("matmul expects 2-D operands")
-        out = Node(self.value @ other.value, (self, other))
 
         def _backward(g):
             self._add_grad(g @ other.value.T)
             other._add_grad(self.value.T @ g)
 
-        out._backward = _backward
-        return out
+        return _op(self.value @ other.value, (self, other), _backward)
 
     def __matmul__(self, other) -> "Node":
         return self.matmul(other)
@@ -217,120 +222,127 @@ class Node:
         """Matrix transpose, or the axis permutation ``axes`` (as ``np.transpose``)."""
         if axes is None and self.value.ndim != 2:
             raise ValueError("transpose expects a 2-D operand")
-        out = Node(self.value.transpose(axes), (self,))
 
         def _backward(g):
             self._add_grad(g.transpose(None if axes is None else np.argsort(axes)))
 
-        out._backward = _backward
-        return out
+        return _op(self.value.transpose(axes), (self,), _backward)
 
     @property
     def T(self) -> "Node":
         return self.transpose()
 
     def reshape(self, *shape) -> "Node":
-        out = Node(self.value.reshape(*shape), (self,))
 
         def _backward(g):
             self._add_grad(g.reshape(self.shape))
 
-        out._backward = _backward
-        return out
+        return _op(self.value.reshape(*shape), (self,), _backward)
 
     # -- activations -------------------------------------------------------
 
     def exp(self) -> "Node":
         e = np.exp(self.value)
-        out = Node(e, (self,))
 
         def _backward(g):
             self._add_grad(e * g)
 
-        out._backward = _backward
-        return out
+        return _op(e, (self,), _backward)
 
     def log(self) -> "Node":
         if np.any(self.value <= 0.0):
             raise DomainError("log of a nonpositive value")
-        out = Node(np.log(self.value), (self,))
 
         def _backward(g):
             self._add_grad(g / self.value)
 
-        out._backward = _backward
-        return out
+        return _op(np.log(self.value), (self,), _backward)
 
     def sigmoid(self) -> "Node":
         s = _sigmoid_value(self.value)
-        out = Node(s, (self,))
 
         def _backward(g):
             self._add_grad(s * (1.0 - s) * g)
 
-        out._backward = _backward
-        return out
+        return _op(s, (self,), _backward)
 
     def tanh(self) -> "Node":
         t = np.tanh(self.value)
-        out = Node(t, (self,))
 
         def _backward(g):
             self._add_grad((1.0 - t * t) * g)
 
-        out._backward = _backward
-        return out
+        return _op(t, (self,), _backward)
 
     def relu(self) -> "Node":
-        out = Node(np.maximum(self.value, 0.0), (self,))
 
         def _backward(g):
             self._add_grad((self.value > 0.0) * g)
 
-        out._backward = _backward
-        return out
+        return _op(np.maximum(self.value, 0.0), (self,), _backward)
 
     def softplus(self) -> "Node":
         # log(1 + e^x) without overflow for large |x|
-        out = Node(np.logaddexp(0.0, self.value), (self,))
 
         def _backward(g):
             self._add_grad(_sigmoid_value(self.value) * g)
 
-        out._backward = _backward
-        return out
+        return _op(np.logaddexp(0.0, self.value), (self,), _backward)
 
     def softmax(self, axis: int = 0) -> "Node":
         shifted = self.value - self.value.max(axis=axis, keepdims=True)
         e = np.exp(shifted)
         p = e / e.sum(axis=axis, keepdims=True)
-        out = Node(p, (self,))
 
         def _backward(g):
             inner = (g * p).sum(axis=axis, keepdims=True)
             self._add_grad(p * (g - inner))
 
-        out._backward = _backward
-        return out
+        return _op(p, (self,), _backward)
 
     # -- reductions ---------------------------------------------------------
 
     def sum(self, axis: int | tuple[int, ...] | None = None) -> "Node":
-        out = Node(self.value.sum(axis=axis), (self,))
 
         def _backward(g):
             if axis is not None:
                 g = np.expand_dims(g, axis)
             self._add_grad(np.broadcast_to(g, self.shape))
 
-        out._backward = _backward
-        return out
+        return _op(self.value.sum(axis=axis), (self,), _backward)
 
     def mean(self, axis: int | tuple[int, ...] | None = None) -> "Node":
         count = self.value.size if axis is None else np.prod(
             [self.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]
         )
         return self.sum(axis=axis) * (1.0 / float(count))
+
+
+class _TapeState(threading.local):
+    recording = True
+
+
+_tape = _TapeState()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Scope in which ops in this thread record no tape (for eval forwards)."""
+    previous, _tape.recording = _tape.recording, False
+    try:
+        yield
+    finally:
+        _tape.recording = previous
+
+
+def _op(value, parents: tuple[Node, ...], rule) -> Node:
+    """An op's output: taped with ``parents`` and ``rule`` unless recording is off."""
+    out = Node(value)
+    if _tape.recording:
+        out._parents, out._backward = parents, rule
+    else:
+        out._parents = None
+    return out
 
 
 def _sigmoid_value(v: np.ndarray) -> np.ndarray:
@@ -346,7 +358,6 @@ def concat(nodes: list[Node], axis: int = 0) -> Node:
     if not nodes:
         raise ValueError("concat needs at least one node")
     value = np.concatenate([n.value for n in nodes], axis=axis)
-    out = Node(value, tuple(nodes))
     ndim = value.ndim
     sizes = [n.shape[axis] for n in nodes]
     offsets = np.cumsum([0] + sizes)
@@ -357,8 +368,7 @@ def concat(nodes: list[Node], axis: int = 0) -> Node:
             index[axis] = slice(start, stop)
             node._add_grad(g[tuple(index)])
 
-    out._backward = _backward
-    return out
+    return _op(value, tuple(nodes), _backward)
 
 
 def narrow(node: Node, axis: int, start: int, length: int) -> Node:
@@ -370,13 +380,11 @@ def narrow(node: Node, axis: int, start: int, length: int) -> Node:
     index = [slice(None)] * node.value.ndim
     index[axis] = slice(start, start + length)
     index = tuple(index)
-    out = Node(node.value[index].copy(), (node,))
 
     def _backward(g):
         node.grad[index] += g
 
-    out._backward = _backward
-    return out
+    return _op(node.value[index].copy(), (node,), _backward)
 
 
 def indicator_matrix(indices, width: int) -> np.ndarray:
@@ -407,13 +415,11 @@ def dropout(node: Node, rate: float, rng: np.random.Generator) -> Node:
     if rate == 0.0:
         return node
     mask = (rng.uniform(size=node.shape) >= rate) / (1.0 - rate)
-    out = Node(node.value * mask, (node,))
 
     def _backward(g):
         node._add_grad(mask * g)
 
-    out._backward = _backward
-    return out
+    return _op(node.value * mask, (node,), _backward)
 
 
 def batch_norm(
@@ -432,7 +438,6 @@ def _batch_norm(x: Node, gain: Node, shift: Node, axes: tuple[int, ...],
     """``batch_norm`` plus the batch mean and variance (keepdims shape)."""
     xhat, inv, mu, var = _standardize(x.value, axes, eps)
     g = gain.value.reshape(mu.shape)
-    out = Node(xhat * g + shift.value.reshape(mu.shape), (x, gain, shift))
 
     def _backward(gy):
         gx, g_gain, g_shift = _standardize_backward(gy, xhat, inv, g, axes)
@@ -440,8 +445,7 @@ def _batch_norm(x: Node, gain: Node, shift: Node, axes: tuple[int, ...],
         shift._add_grad(g_shift.reshape(shift.shape))
         x._add_grad(gx)
 
-    out._backward = _backward
-    return out, mu, var
+    return _op(xhat * g + shift.value.reshape(mu.shape), (x, gain, shift), _backward), mu, var
 
 
 def _standardize(x: np.ndarray, axes: tuple[int, ...], eps: float):
@@ -528,14 +532,13 @@ def conv1d_causal(x: Node, weights: Node, dilation: int = 1, bias: Node | None =
     batch, _, length = x.shape
     z, conv_backward = _causal_conv(x.value.transpose(1, 0, 2), weights, dilation, bias)
     parents = (x, weights) if bias is None else (x, weights, bias)
-    out = Node(np.ascontiguousarray(z.reshape(-1, batch, length).transpose(1, 0, 2)), parents)
 
     def _backward(g):
         gx = conv_backward(g.transpose(1, 0, 2).reshape(-1, batch * length))
         x._add_grad(np.ascontiguousarray(gx.transpose(1, 0, 2)))
 
-    out._backward = _backward
-    return out
+    y = np.ascontiguousarray(z.reshape(-1, batch, length).transpose(1, 0, 2))
+    return _op(y, parents, _backward)
 
 
 def _conv_norm_relu(x: Node, weights: Node, bias: Node, norm, dilation: int,
@@ -557,7 +560,6 @@ def _conv_norm_relu(x: Node, weights: Node, bias: Node, norm, dilation: int,
         (xhat, inv), (scale, offset) = (z, None), norm.affine()
     s = scale.value.reshape(-1, 1)
     y = np.maximum(xhat * s + offset.value.reshape(-1, 1), 0.0)
-    out = Node(y.reshape(-1, batch, length), (x, weights, bias, scale, offset))
 
     def _backward(g):
         gy = np.where(y > 0.0, g.reshape(y.shape), 0.0)
@@ -566,8 +568,7 @@ def _conv_norm_relu(x: Node, weights: Node, bias: Node, norm, dilation: int,
         offset._add_grad(g_shift.reshape(offset.shape))
         x._add_grad(conv_backward(gz))
 
-    out._backward = _backward
-    return out
+    return _op(y.reshape(-1, batch, length), (x, weights, bias, scale, offset), _backward)
 
 
 def lstm_sequence(x: Node, h0: Node, c0: Node, wx: Node, wh: Node, b: Node) -> Node:
@@ -612,7 +613,6 @@ def lstm_sequence(x: Node, h0: Node, c0: Node, wx: Node, wh: Node, b: Node) -> N
         cs[t + 1] = act[:, n : 2 * n] * cs[t] + act[:, :n] * act[:, 2 * n : 3 * n]
         tanh_c[t] = np.tanh(cs[t + 1])
         hs[t + 1] = act[:, 3 * n :] * tanh_c[t]
-    out = Node(hs[1:], (x, h0, c0, wx, wh, b))
 
     def _backward(g):
         i, f = gates[..., :n], gates[..., n : 2 * n]
@@ -642,8 +642,7 @@ def lstm_sequence(x: Node, h0: Node, c0: Node, wx: Node, wh: Node, b: Node) -> N
         wh._add_grad(hs[:-1].reshape(steps * batch, n).T @ dz_flat)
         b._add_grad(dz_flat.sum(axis=0))
 
-    out._backward = _backward
-    return out
+    return _op(hs[1:], (x, h0, c0, wx, wh, b), _backward)
 
 
 def avg_pool_time(x: Node) -> Node:

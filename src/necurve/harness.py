@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from necurve.act import MASK_LITERAL, MASK_STRICT
-from necurve.autodiff import Adam
+from necurve.autodiff import Adam, no_grad
 from necurve.curves import observed_count
 from necurve.rankers import (
     PairBatch,
@@ -304,12 +304,20 @@ def _encode_arrays(arrays: dict) -> dict:
 
 
 def _decode_arrays(payload: dict, path) -> dict:
+    """Named arrays; an entry without data or shape, a size that does not fit
+    the shape, a non-finite value or a negative ``*.var`` raises ValueError."""
     out = {}
     for name, entry in payload.items():
+        if not {"data", "shape"} <= set(entry):
+            raise ValueError(f"checkpoint {path}: array {name!r} needs 'data' and 'shape'")
         data = np.frombuffer(base64.b64decode(entry["data"]), dtype=np.float64)
         if data.size != np.prod(entry["shape"]):
             raise ValueError(f"checkpoint {path}: array {name!r} holds {data.size} "
                              f"values, which do not fit shape {entry['shape']}")
+        if not np.isfinite(data).all():
+            raise ValueError(f"checkpoint {path}: array {name!r} holds non-finite values")
+        if name.endswith(".var") and (data < 0.0).any():
+            raise ValueError(f"checkpoint {path}: running variance {name!r} is negative")
         out[name] = data.reshape(entry["shape"]).copy()
     return out
 
@@ -382,8 +390,8 @@ def predict_pairs(model, pairs: list[CurvePair], n_obs: int,
     probabilities = []
     for start in range(0, len(pairs), eval_batch):
         batch = make_pair_batch(pairs[start:start + eval_batch], n_obs)
-        out = model.distance(batch, train=False, eval_seed=eval_seed)
-        probabilities.append(out.probability)
+        with no_grad():
+            probabilities.append(model.distance(batch, eval_seed=eval_seed).probability)
     return np.concatenate(probabilities)
 
 

@@ -611,12 +611,26 @@ def write_records(records: list[ModelRecord], path) -> None:
 
 
 def read_records(path) -> list[ModelRecord]:
+    """Records of a JSONL file; a line that does not decode into a record
+    raises ValueError naming the path, the line and, if readable, the model."""
     records = []
     with open(path) as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             if line.strip():
-                records.append(record_from_dict(json.loads(line)))
+                try:
+                    records.append(record_from_dict(json.loads(line)))
+                except (ValueError, KeyError, TypeError) as err:
+                    raise ValueError(f"{path}, line {number}{_model_of(line)}: "
+                                     f"{type(err).__name__}: {err}") from err
     return records
+
+
+def _model_of(line: str) -> str:
+    """', model <id>' when the line's JSON holds a model_id, else ''."""
+    try:
+        return f", model {json.loads(line)['model_id']}"
+    except (ValueError, KeyError, TypeError):
+        return ""
 
 
 def write_split_manifest(splits: list[DatasetSplit], path) -> None:

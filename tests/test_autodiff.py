@@ -9,6 +9,7 @@ reference script).
 from __future__ import annotations
 
 import gc
+import threading
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from necurve.autodiff import (
     indicator_matrix,
     lstm_sequence,
     narrow,
+    no_grad,
 )
 from necurve.harness import Checkpoint, build_model, load_checkpoint_file, save_checkpoint_file
 from necurve.layers import BatchNorm, LstmCell
@@ -433,6 +435,70 @@ class TestTapeContract:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestNoGrad:
+    def test_output_keeps_no_tape_and_no_cycle(self):
+        gc.collect()
+        gc.disable()
+        try:
+            x = Node(np.arange(3.0))
+            with no_grad():
+                y = (x * 2.0).exp().sum()
+            assert not y._parents and y._backward is None
+            value = y.value
+            del y
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        np.testing.assert_array_equal(value, np.exp(np.arange(3.0) * 2.0).sum())
+
+    def test_backward_from_an_untaped_root_raises(self):
+        x = Node(np.array([1.0, 2.0]))
+        with no_grad():
+            y = (x * x).sum()
+        with pytest.raises(TapeReuseError, match="no_grad"):
+            y.backward()
+        assert x._grad is None  # no silent zero gradient
+
+    def test_untaped_output_is_a_constant_in_a_later_tape(self):
+        x = Node(np.array([1.0, 2.0]))
+        with no_grad():
+            c = x * 3.0
+        (c * x).sum().backward()
+        np.testing.assert_array_equal(x.grad, [3.0, 6.0])  # no gradient through c
+
+    def test_scope_restores_recording_after_an_error(self):
+        x = Node(np.array(2.0))
+        with pytest.raises(DomainError):
+            with no_grad():
+                (x * 0.0).log()
+        assert (x * x)._backward is not None
+
+    def test_scope_is_per_thread(self):
+        entered, release = threading.Event(), threading.Event()
+        seen = {}
+
+        def score():
+            with no_grad():
+                entered.set()
+                release.wait(timeout=30)
+                seen["worker"] = (Node(np.array(1.0)) * 2.0)._backward
+
+        worker = threading.Thread(target=score)
+        worker.start()
+        try:
+            assert entered.wait(timeout=30)
+            x = Node(np.array(3.0))
+            y = x * x  # built while the worker's scope is open
+            assert y._backward is not None
+            y.backward()
+            np.testing.assert_allclose(x.grad, 6.0)
+        finally:
+            release.set()
+            worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert seen["worker"] is None
 
 
 class TestConvCausality:

@@ -5,11 +5,13 @@ and cross-validation report plumbing."""
 from __future__ import annotations
 
 import csv
+import gc
 import importlib.util
 import json
 import math
 import re
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -49,7 +51,7 @@ from necurve.harness import (
     write_report_json,
 )
 from necurve.curves import LearningCurve, greedy_rank
-from necurve.rankers import RankerConfig
+from necurve.rankers import RankerConfig, build_ranker
 from necurve.synth import (
     CurvePair,
     DatasetSplit,
@@ -365,6 +367,40 @@ class TestEvaluate:
         np.testing.assert_allclose(chunked, whole, rtol=1e-12, atol=0.0)
 
 
+def traced_peak(fn) -> int:
+    """Bytes of the tracemalloc peak while ``fn()`` runs and its result lives."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak
+
+
+class TestEvalMemory:
+    def test_scoring_peak_is_at_most_half_the_taped_forward(self):
+        # one desk-scale batch: B = 256 pairs, T = 60 observed points
+        records = generate_dataset(GeneratorConfig(
+            jobs=4, models_per_job=12, curve_length_mean=40.0, curve_length_sd=10.0,
+            examples_per_checkpoint=10, resample_length=100, seed=9,
+        ))
+        pairs = pair_and_label(records, ordered=False)[:256]
+        assert len(pairs) == 256
+        config = RankerConfig(
+            kind="r2", observed_length=60, tcn_layers=4, tcn_filters=24, lstm_layers=1,
+            lstm_dim=12, embed_dim=8, head_hidden=32,
+            hp_dim=len(records[0].hyperparameters),
+        )
+        model = build_ranker(config, sorted({r.domain_id for r in records}))
+        batch = make_pair_batch(pairs, 60)
+        taped = traced_peak(lambda: model.distance(batch, train=False))
+        scored = traced_peak(lambda: predict_pairs(model, pairs, 60, eval_batch=256))
+        assert scored <= taped / 2, (scored, taped)
+
+
 class TestCheckpointPersistence:
     def test_roundtrip_preserves_predictions(self, splits, tmp_path):
         ckpt = train(splits[0], small_train_config(), fraction=0.4)
@@ -446,6 +482,31 @@ class TestCheckpointPersistence:
         checkpoint = load_checkpoint_file(path)
         with pytest.raises(ValueError, match=r"checkpoint state names.*missing \['hp_norm.mean'\]"):
             build_model(checkpoint)
+
+    def test_load_names_a_negative_running_variance(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        state = {"curve.norm0.var": np.array([1.0, -1.0])}
+        save_checkpoint_file(plain_checkpoint({"w": np.ones(2)}, state), path)
+        with pytest.raises(ValueError, match=re.escape(f"checkpoint {path}: running "
+                                                       "variance 'curve.norm0.var'")):
+            load_checkpoint_file(path)
+
+    def test_load_names_a_nan_parameter(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint_file(plain_checkpoint({"head.out.w": np.array([0.5, np.nan])}, {}),
+                             path)
+        with pytest.raises(ValueError, match=re.escape(f"checkpoint {path}: array "
+                                                       "'head.out.w' holds non-finite")):
+            load_checkpoint_file(path)
+
+    def test_load_names_an_array_without_data(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint_file(plain_checkpoint({"w": np.ones(2)}, {}), path)
+        payload = json.loads(path.read_text())
+        del payload["params"]["w"]["data"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(f"checkpoint {path}: array 'w'")):
+            load_checkpoint_file(path)
 
 
 def plain_checkpoint(params: dict, state: dict) -> Checkpoint:

@@ -14,7 +14,7 @@ import gc
 import numpy as np
 import pytest
 
-from necurve.autodiff import Node, grad_check_params
+from necurve.autodiff import Node, TapeReuseError, grad_check_params, no_grad
 from necurve.rankers import (
     DistanceOutput,
     PairBatch,
@@ -487,3 +487,74 @@ class TestTapeMemory:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_untaped_eval_forward_leaves_no_tape_or_cycle(self):
+        model, batch = self.model_and_batch()
+        gc.collect()
+        gc.disable()
+        try:
+            with no_grad():
+                out = model.distance(batch)
+            untaped = [out.delta, out.reconstruction]
+            assert all(not n._parents and n._backward is None for n in untaped)
+            del out, untaped
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_backward_releases_every_ruled_node(self):
+        model, batch = self.model_and_batch()
+        grads = []
+        for release in (False, True):
+            for p in model.params.values():
+                p.grad = None
+            out = model.distance(batch, train=True, rng=np.random.default_rng(0))
+            loss = total_loss(ce_loss(out.delta, batch.labels), out.reconstruction, 0.5)
+            ruled = [n for n in tape_nodes(loss) if n._backward is not None]
+            if release:
+                loss.backward()
+            else:
+                backward_keeping_tape(loss)
+            grads.append({name: p.grad.copy() for name, p in model.params.items()})
+        assert all(n._backward is None and not n._parents and n._grad is None for n in ruled)
+        with pytest.raises(TapeReuseError):
+            loss.backward()
+        for name in model.params:
+            np.testing.assert_array_equal(grads[1][name], grads[0][name])
+
+
+def backward_keeping_tape(root: Node) -> None:
+    """``Node.backward``'s walk and rule order without the release: the
+    reference gradients."""
+    topo, visited, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+        elif id(node) not in visited:
+            visited.add(id(node))
+            stack.append((node, True))
+            stack.extend((parent, False) for parent in node._parents)
+    root._grad = np.ones_like(root.value)
+    for node in reversed(topo):
+        if node._backward is not None and node._grad is not None:
+            node._backward(node._grad)
+
+
+class TestNoGradForward:
+    @pytest.mark.parametrize("kind", ["r2", "siamese"])
+    @pytest.mark.parametrize("use_act", [False, True])
+    def test_matches_the_taped_eval_forward_bitwise(self, kind, use_act):
+        batch = make_batch(np.random.default_rng(44), batch=6)
+        mean, sd = training_stats(batch)
+        model = build_ranker(small_config(kind=kind, use_act=use_act, dropout=0.2),
+                             domains=batch.domain_ids, arch_mean=mean, arch_sd=sd)
+        model.distance(batch, train=True, rng=np.random.default_rng(1))  # move the statistics
+        batch.domain_ids = batch.domain_ids[:-1] + [99]  # one domain unseen in training
+        taped = model.distance(batch, eval_seed=5)
+        with no_grad():
+            untaped = model.distance(batch, eval_seed=5)
+        assert taped.delta._backward is not None
+        assert untaped.delta._backward is None and not untaped.delta._parents
+        np.testing.assert_array_equal(untaped.delta.value, taped.delta.value)
+        np.testing.assert_array_equal(untaped.probability, taped.probability)

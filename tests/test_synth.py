@@ -10,7 +10,9 @@ exhaustive set arithmetic on small configurations.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -483,6 +485,44 @@ class TestPersistence:
         assert len(loaded) == len(records)
         for a, b in zip(records, loaded):
             assert self.records_equal(a, b)
+
+    def edited_records(self, tmp_path, line: int, edit) -> tuple:
+        """A written JSONL file whose 1-based ``line`` went through ``edit``,
+        and the model id on that line."""
+        records = generate_dataset(small_dataset_config(jobs=2, models_per_job=3))
+        path = tmp_path / "records.jsonl"
+        write_records(records, path)
+        lines = path.read_text().splitlines()
+        data = json.loads(lines[line - 1])
+        lines[line - 1] = edit(data)
+        path.write_text("\n".join(lines) + "\n")
+        return path, data["model_id"]
+
+    def test_malformed_line_is_named(self, tmp_path):
+        path, _ = self.edited_records(tmp_path, 3, lambda data: "{not json")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: JSONDecodeError")):
+            read_records(path)
+
+    def test_missing_key_names_line_and_model(self, tmp_path):
+        def drop_domain(data):
+            del data["domain_id"]
+            return json.dumps(data)
+
+        path, model_id = self.edited_records(tmp_path, 2, drop_domain)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}, line 2, model {model_id}: KeyError: 'domain_id'")) as info:
+            read_records(path)
+        assert isinstance(info.value.__cause__, KeyError)
+
+    def test_nan_curve_value_names_line_and_model(self, tmp_path):
+        def poison(data):
+            data["lne"][1] = math.nan
+            return json.dumps(data)
+
+        path, model_id = self.edited_records(tmp_path, 4, poison)
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 4, model {model_id}: ")
+                           + ".*finite"):
+            read_records(path)
 
     def test_record_dict_schema(self):
         record = generate_dataset(small_dataset_config())[0]
