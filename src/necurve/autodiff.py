@@ -450,8 +450,12 @@ def _batch_norm(x: Node, gain: Node, shift: Node, axes: tuple[int, ...],
 
 def _standardize(x: np.ndarray, axes: tuple[int, ...], eps: float):
     """(xhat, inv, mean, var) of ``xhat = (x - mean) / sqrt(var + eps)`` over
-    ``axes``, statistics in keepdims shape.  The variance is the arithmetic
-    ``np.var`` does, so the statistics are bit-identical to it."""
+    ``axes``, statistics in keepdims shape.  The statistics are the arithmetic
+    ``np.mean`` and ``np.var`` do, so they are bit-identical to them.  ``xhat``
+    is re-centred by the mean of ``x - mean``, the correction term of the
+    corrected two-pass algorithm (Chan, Golub and LeVeque, 1983), so it sums
+    to rounding of its own size even when a common offset, such as a conv
+    bias, dwarfs the spread; the gradients through the mean depend on that."""
     count = float(np.prod([x.shape[a] for a in axes]))
     if count < 2:
         raise ValueError("batch norm needs at least 2 elements per feature")
@@ -459,6 +463,7 @@ def _standardize(x: np.ndarray, axes: tuple[int, ...], eps: float):
     xhat = x - mu
     var = (xhat * xhat).sum(axis=axes, keepdims=True) / count
     inv = 1.0 / np.sqrt(var + eps)
+    xhat -= xhat.mean(axis=axes, keepdims=True)
     xhat *= inv
     return xhat, inv, mu, var
 

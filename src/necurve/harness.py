@@ -238,8 +238,8 @@ def make_pair_batch(pairs: list[CurvePair], n_obs: int) -> PairBatch:
         curves_j=np.stack([p.right.curve.values[:n_obs] for p in pairs]),
         hp_i=np.stack([p.left.hyperparameters for p in pairs]),
         hp_j=np.stack([p.right.hyperparameters for p in pairs]),
-        arch_i=[np.asarray(p.left.architecture, dtype=np.float64) for p in pairs],
-        arch_j=[np.asarray(p.right.architecture, dtype=np.float64) for p in pairs],
+        arch_i=[p.left.architecture for p in pairs],
+        arch_j=[p.right.architecture for p in pairs],
         domain_ids=[p.left.domain_id for p in pairs],
         labels=np.array([p.label for p in pairs]),
     )
@@ -414,9 +414,7 @@ def train(split: DatasetSplit, config: TrainConfig,
     n_obs = observed_count(curve_length, fraction)
     records = _unique_records(split.train)
     domains = sorted({record.domain_id for record in records})
-    arch_mean, arch_sd = arch_statistics([
-        np.asarray(record.architecture, dtype=np.float64) for record in records
-    ])
+    arch_mean, arch_sd = arch_statistics([record.architecture for record in records])
     seed = _derived_seed(config, split.fold, fraction)
     ranker_config = _ranker_config(
         config, n_obs, len(records[0].hyperparameters), seed
@@ -490,13 +488,7 @@ def evaluate(checkpoint: Checkpoint, pairs: list[CurvePair],
     model = build_model(checkpoint)
     eval_seed = int(checkpoint.train_config.get("seed", 0))
     probs = predict_pairs(model, pairs, n_obs, eval_seed=eval_seed)
-    labels = np.array([p.label for p in pairs])
-    return EvalSlice(
-        fraction=fraction,
-        auc=roc_auc(probs, labels),
-        accuracy=accuracy(probs, labels),
-        pairs=len(pairs),
-    )
+    return _slice(probs, np.array([p.label for p in pairs]), fraction)
 
 
 def _greedy_call(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -526,21 +518,16 @@ def greedy_probabilities(pairs: list[CurvePair], fraction: float) -> np.ndarray:
     return _greedy_call(observed[0], observed[1])
 
 
-def _greedy_slice(probabilities: np.ndarray, labels: np.ndarray,
-                  fraction: float) -> EvalSlice:
+def _slice(probabilities: np.ndarray, labels: np.ndarray, fraction: float) -> EvalSlice:
     if len(labels) == 0:
         raise EvaluationError("no pairs to evaluate")
-    return EvalSlice(
-        fraction=fraction,
-        auc=roc_auc(probabilities, labels),
-        accuracy=accuracy(probabilities, labels),
-        pairs=len(labels),
-    )
+    return EvalSlice(fraction=fraction, auc=roc_auc(probabilities, labels),
+                     accuracy=accuracy(probabilities, labels), pairs=len(labels))
 
 
 def evaluate_greedy(pairs: list[CurvePair], fraction: float) -> EvalSlice:
     labels = np.array([p.label for p in pairs])
-    return _greedy_slice(greedy_probabilities(pairs, fraction), labels, fraction)
+    return _slice(greedy_probabilities(pairs, fraction), labels, fraction)
 
 
 def _final_value(record: ModelRecord, criterion: str) -> float:
@@ -652,7 +639,7 @@ def cross_validate(records: list[ModelRecord], config: TrainConfig) -> EvalRepor
         for split in splits:
             labels, calls = _gather(scored, split.test_jobs, len(config.fractions))
             for fraction, probabilities in zip(config.fractions, calls):
-                piece = _greedy_slice(probabilities, labels, fraction)
+                piece = _slice(probabilities, labels, fraction)
                 results.append(FoldMetrics(split.fold, fraction, piece.auc,
                                            piece.accuracy, piece.pairs))
     else:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from necurve.act import MASK_STRICT, ActLayer
-from necurve.autodiff import Node, _sigmoid_value, concat, dropout, gather_rows, narrow
+from necurve.autodiff import Node, _sigmoid_value, concat, dropout, gather_rows
 from necurve.layers import BatchNorm, Dense, Lstm, TcnEncoder
 
 
@@ -71,7 +71,7 @@ class PairBatch:
     curves_j: np.ndarray
     hp_i: np.ndarray  # (B, hp_dim)
     hp_j: np.ndarray
-    arch_i: list  # per pair: (n_layers, arch_feature_dim) array
+    arch_i: list  # per pair: a sequence of (in, out) rows, one per layer
     arch_j: list
     domain_ids: list
     labels: np.ndarray  # (B,) in {0, 1}; 1 means the left record is superior
@@ -172,46 +172,51 @@ class _SharedEncoders:
 
     # -- metadata paths ---------------------------------------------------
 
-    def normalize_arch(self, seqs) -> np.ndarray:
-        """Standardize one sequence, or a stack of equal-length ones, per slot."""
-        return (np.asarray(seqs, dtype=np.float64) - self.arch_mean) / self.arch_sd
-
-    def encode_architectures(self, seqs: list) -> tuple[Node, Node, Node]:
-        """Returns (embeddings (B, H), reconstruction sse, element count)."""
-        if any(len(s) == 0 for s in seqs):
+    def encode_distinct(self, seqs) -> tuple[Node, Node, Node, np.ndarray]:
+        """(embeddings (U, H) of the U distinct sequences, reconstruction sse,
+        element count, ``inverse``): row ``inverse[n]`` embeds ``seqs[n]``, and
+        sse and count sum over all of ``seqs``.  One zero-padded (T, U, F) pass;
+        the LSTMs are causal, so padding changes no embedding (the hidden state
+        at step len - 1) and no reconstruction error, masked to real steps."""
+        index: dict[tuple, int] = {}  # distinct sequences by content, first seen first
+        inverse = np.array([index.setdefault(tuple(map(tuple, seq)), len(index)) for seq in seqs],
+                           dtype=np.intp)
+        distinct = list(index)
+        lengths = np.array([len(seq) for seq in distinct])
+        if lengths.min() == 0:
             raise ValueError("architecture sequences must be nonempty")
-        by_length: dict[int, list[int]] = {}
-        for idx, seq in enumerate(seqs):
-            by_length.setdefault(len(seq), []).append(idx)
-        emb_parts, order, sse_parts, counts = [], [], [], 0
-        for length, indices in sorted(by_length.items()):
-            group = self.normalize_arch([seqs[i] for i in indices])  # (B, T, F)
-            hidden = self.arch_encoder(Node(group.transpose(1, 0, 2)))
-            emb = narrow(hidden, 0, length - 1, 1).reshape(len(indices), -1)
-            emb_parts.append(emb)
-            order.extend(indices)
-            sse_parts.append(self._reconstruction_sse(emb, group))
-            counts += group.size
-        embeddings = concat(emb_parts, axis=0)
-        if order != sorted(order):
-            inverse = np.argsort(order)
-            embeddings = gather_rows(embeddings, inverse)
-        sse = sse_parts[0]
-        for part in sse_parts[1:]:
-            sse = sse + part
-        return embeddings, sse, Node(float(counts))
+        steps, count = int(lengths.max()), len(distinct)
+        real = np.arange(steps)[:, None] < lengths  # (T, U): step t of sequence u exists
+        target = np.zeros((steps, count, self.config.arch_feature_dim))
+        rows = np.array([row for seq in distinct for row in seq], dtype=np.float64)
+        target.transpose(1, 0, 2)[real.T] = (rows - self.arch_mean) / self.arch_sd
+        last = (np.arange(steps)[:, None] == lengths - 1)[..., None]  # one-hot in time
+        embeddings = (self.arch_encoder(Node(target)) * last).sum(axis=0)
+        # the decoder unrolls from each embedding as initial hidden state over
+        # zero inputs; one output Dense maps every (step, sequence) row back
+        zero_c = Node(np.zeros((count, self.config.lstm_dim)))
+        decoded = self.arch_decoder(Node(np.zeros_like(target)),
+                                    init=[(embeddings, zero_c)] * len(self.arch_decoder.cells))
+        err = self.arch_out(decoded.reshape(steps * count, -1)) - target.reshape(steps * count, -1)
+        # each distinct sequence's error counts as often as the sequence occurs
+        weights = (real * np.bincount(inverse, minlength=count)).reshape(-1, 1)
+        sse = (err * err * weights).sum()
+        return embeddings, sse, Node(weights.sum() * target.shape[2]), inverse
 
-    def _reconstruction_sse(self, embeddings: Node, target: np.ndarray) -> Node:
-        """Decoder unrolls from the embedding as initial hidden state over
-        zero inputs; squared error against the normalized input sequence,
-        with one output Dense over all (step, sequence) rows."""
-        batch, length, features = target.shape
-        zero_c = Node(np.zeros((batch, self.config.lstm_dim)))
-        init = [(embeddings, zero_c)] * len(self.arch_decoder.cells)
-        hidden = self.arch_decoder(Node(np.zeros((length, batch, features))), init=init)
-        rows = self.arch_out(hidden.reshape(length * batch, -1))
-        err = rows - target.transpose(1, 0, 2).reshape(length * batch, features)
-        return (err * err).sum()
+    def encode_architectures(self, seqs) -> tuple[Node, Node, Node]:
+        """Returns (embeddings (B, H) in input order, reconstruction sse, element count)."""
+        embeddings, sse, count, inverse = self.encode_distinct(seqs)
+        return gather_rows(embeddings, inverse), sse, count
+
+    def encode_pairs(self, arch_i, arch_j) -> tuple[Node, Node, Node]:
+        """The relative ranker's (feature, sse, count) from one encode of both
+        sides: identical architectures contribute the shared embedding once,
+        different ones the embedding difference."""
+        embeddings, sse, count, inverse = self.encode_distinct([*arch_i, *arch_j])
+        side_i, side_j = np.split(inverse, 2)
+        differ = (side_i != side_j).reshape(-1, 1).astype(np.float64)
+        feature = gather_rows(embeddings, side_i) - gather_rows(embeddings, side_j) * differ
+        return feature, sse, count
 
     def embed_domains(self, ids: list, train: bool, eval_seed: int = 0) -> Node:
         known = [self.domain_index.get(key) for key in ids]
@@ -256,14 +261,6 @@ class _SharedEncoders:
         for name, norm in self._norm_layers().items():
             norm.running_mean[...] = state[f"{name}.mean"]
             norm.running_var[...] = state[f"{name}.var"]
-
-
-def _arch_equal_mask(batch: PairBatch) -> np.ndarray:
-    eq = [
-        1.0 if np.array_equal(np.asarray(a), np.asarray(b)) else 0.0
-        for a, b in zip(batch.arch_i, batch.arch_j)
-    ]
-    return np.array(eq).reshape(-1, 1)
 
 
 class _Ranker:
@@ -311,14 +308,8 @@ class RelativeRanker(_Ranker):
         sse = count = None
         if self.config.use_metadata:
             parts.append(enc.hp_norm(Node(batch.hp_i - batch.hp_j), train))
-            emb_i, sse_i, count_i = enc.encode_architectures(batch.arch_i)
-            emb_j, sse_j, count_j = enc.encode_architectures(batch.arch_j)
-            # identical architectures contribute the shared embedding once;
-            # different ones contribute the embedding difference
-            equal = _arch_equal_mask(batch)
-            parts.append(emb_i - emb_j * (1.0 - equal))
-            parts.append(enc.embed_domains(batch.domain_ids, train, eval_seed))
-            sse, count = sse_i + sse_j, count_i + count_j
+            feature, sse, count = enc.encode_pairs(batch.arch_i, batch.arch_j)
+            parts += [feature, enc.embed_domains(batch.domain_ids, train, eval_seed)]
         return enc.head(concat(parts, axis=1), train, rng), sse, count
 
 

@@ -594,11 +594,20 @@ def record_from_dict(data: dict) -> ModelRecord:
             example_counts=np.array(data["counts"], dtype=np.float64),
         ),
         hyperparameters=np.array(data["hyperparameters"], dtype=np.float64),
-        architecture=tuple((int(a), int(b)) for a, b in data["architecture"]),
+        architecture=_architecture(data["architecture"]),
         domain_id=int(data["domain_id"]),
         final_wne=data.get("final_wne"),
         final_lne=data.get("final_lne"),
     )
+
+
+def _architecture(layers) -> tuple[tuple[int, int], ...]:
+    """A record's layers: a nonempty JSON list of (in, out) integer pairs."""
+    if not layers or not all(isinstance(layer, list) and len(layer) == 2
+                             and all(type(v) is int for v in layer) for layer in layers):
+        raise ValueError(f"architecture must be a nonempty list of (in, out) integer "
+                         f"pairs, got {layers!r}")
+    return tuple(map(tuple, layers))
 
 
 def write_records(records: list[ModelRecord], path) -> None:
@@ -611,26 +620,32 @@ def write_records(records: list[ModelRecord], path) -> None:
 
 
 def read_records(path) -> list[ModelRecord]:
-    """Records of a JSONL file; a line that does not decode into a record
-    raises ValueError naming the path, the line and, if readable, the model."""
-    records = []
+    """Records of a JSONL file.  A line that does not decode into a record,
+    whose hyperparameters differ in shape from the first record's, or whose
+    (job_id, model_id) an earlier line holds raises ValueError naming the
+    path, the line and, if readable, the model."""
+    records, first_line = [], {}
     with open(path) as handle:
         for number, line in enumerate(handle, 1):
             if line.strip():
+                data = None
                 try:
-                    records.append(record_from_dict(json.loads(line)))
+                    record = record_from_dict(data := json.loads(line))
+                    shape = (records or [record])[0].hyperparameters.shape
+                    if record.hyperparameters.shape != shape:
+                        raise ValueError(f"hyperparameters of shape {record.hyperparameters.shape},"
+                                         f" the first record's are {shape}")
+                    key = (record.job_id, record.model_id)
+                    if first_line.setdefault(key, number) != number:
+                        raise ValueError(f"job {key[0]}, model {key[1]} is already on line "
+                                         f"{first_line[key]}")
                 except (ValueError, KeyError, TypeError) as err:
-                    raise ValueError(f"{path}, line {number}{_model_of(line)}: "
+                    model = (f", model {data['model_id']}"
+                             if isinstance(data, dict) and "model_id" in data else "")
+                    raise ValueError(f"{path}, line {number}{model}: "
                                      f"{type(err).__name__}: {err}") from err
+                records.append(record)
     return records
-
-
-def _model_of(line: str) -> str:
-    """', model <id>' when the line's JSON holds a model_id, else ''."""
-    try:
-        return f", model {json.loads(line)['model_id']}"
-    except (ValueError, KeyError, TypeError):
-        return ""
 
 
 def write_split_manifest(splits: list[DatasetSplit], path) -> None:

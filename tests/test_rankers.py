@@ -13,8 +13,11 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from necurve.autodiff import Node, TapeReuseError, grad_check_params, no_grad
+import necurve.layers
+from necurve.autodiff import Adam, Node, TapeReuseError, concat, grad_check_params, no_grad
 from necurve.rankers import (
     DistanceOutput,
     PairBatch,
@@ -225,6 +228,123 @@ class TestArchEncoder:
         model = RelativeRanker(small_config(), domains=[0])
         with pytest.raises(ValueError):
             model.enc.encode_architectures([np.zeros((0, 2))])
+
+
+def stepwise_encode(enc, seqs) -> tuple[Node, Node, float]:
+    """Oracle for ``encode_architectures``: each sequence alone, one
+    ``LstmCell.step`` per layer and step, in input order."""
+    hidden, features = enc.config.lstm_dim, enc.config.arch_feature_dim
+    embeddings, sse, count = [], Node(0.0), 0.0
+    for seq in seqs:
+        target = (np.asarray(seq, dtype=np.float64) - enc.arch_mean) / enc.arch_sd
+        zeros = Node(np.zeros((1, hidden)))
+        hs, cs = [zeros] * len(enc.arch_encoder.cells), [zeros] * len(enc.arch_encoder.cells)
+        for row in target:
+            x = Node(row.reshape(1, -1))
+            for k, cell in enumerate(enc.arch_encoder.cells):
+                hs[k], cs[k] = cell.step(x, hs[k], cs[k])
+                x = hs[k]
+        embedding = x
+        hs, cs = [embedding] * len(enc.arch_decoder.cells), [zeros] * len(enc.arch_decoder.cells)
+        for row in target:
+            x = Node(np.zeros((1, features)))
+            for k, cell in enumerate(enc.arch_decoder.cells):
+                hs[k], cs[k] = cell.step(x, hs[k], cs[k])
+                x = hs[k]
+            err = enc.arch_out(x) - row.reshape(1, -1)
+            sse = sse + (err * err).sum()
+        embeddings.append(embedding)
+        count += target.size
+    return concat(embeddings, axis=0), sse, count
+
+
+def arch_grads(model, loss: Node) -> dict[str, np.ndarray]:
+    Adam(model.params).zero_grad()
+    loss.backward()
+    return {name: node.grad.copy() for name, node in model.params.items()
+            if name.startswith("arch_")}
+
+
+CONTAINERS = {
+    "tuple": lambda seq: tuple(tuple(int(v) for v in row) for row in seq),
+    "list": lambda seq: [[int(v) for v in row] for row in seq],
+    "array": lambda seq: np.array(seq, dtype=np.float64),
+    "int array": lambda seq: np.array(seq, dtype=np.int64),
+}
+layer_rows = st.lists(st.tuples(st.integers(1, 64), st.integers(1, 64)), min_size=1, max_size=5)
+arch_lists = st.lists(layer_rows, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(
+        st.tuples(st.integers(0, len(pool) - 1), st.sampled_from(sorted(CONTAINERS))),
+        min_size=1, max_size=8,
+    ).map(lambda picks: (pool, [CONTAINERS[kind](pool[k]) for k, kind in picks]))
+)
+
+
+class TestDistinctEncoder:
+    """One padded pass over the distinct sequences against each sequence
+    encoded alone through ``LstmCell.step``."""
+
+    @staticmethod
+    def model(pool, layers):
+        mean, sd = arch_statistics([np.array(seq, dtype=np.float64) for seq in pool])
+        return RelativeRanker(small_config(lstm_layers=layers), domains=[0],
+                              arch_mean=mean, arch_sd=sd)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=arch_lists, layers=st.integers(1, 2), seed=st.integers(0, 2**16))
+    def test_matches_stepwise_oracle(self, case, layers, seed):
+        pool, seqs = case
+        model = self.model(pool, layers)
+        weights = np.random.default_rng(seed).normal(size=(len(seqs), 5))
+        losses = []
+        for encode in (model.enc.encode_architectures, lambda s: stepwise_encode(model.enc, s)):
+            embeddings, sse, count = encode(seqs)
+            count = getattr(count, "value", count)
+            losses.append((embeddings, sse.value / count,
+                           arch_grads(model, (embeddings * weights).sum() + sse / count)))
+        (emb, mse, grads), (want_emb, want_mse, want_grads) = losses
+        np.testing.assert_allclose(emb.value, want_emb.value, rtol=1e-12, atol=1e-12)
+        assert mse == pytest.approx(want_mse, rel=1e-12, abs=1e-12)
+        assert grads.keys() == want_grads.keys()
+        for name, grad in grads.items():
+            np.testing.assert_allclose(grad, want_grads[name], rtol=1e-12, atol=1e-12,
+                                       err_msg=name)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=arch_lists, data=st.data())
+    def test_pair_feature_and_equal_mask(self, case, data):
+        pool, seqs = case
+        arch_j = data.draw(st.permutations(seqs))
+        model = self.model(pool, 1)
+        _, _, _, inverse = model.enc.encode_distinct([*seqs, *arch_j])
+        equal = inverse[: len(seqs)] == inverse[len(seqs):]
+        want_equal = [np.array_equal(np.asarray(a), np.asarray(b)) for a, b in zip(seqs, arch_j)]
+        assert equal.tolist() == want_equal
+        feature, _, _ = model.enc.encode_pairs(seqs, arch_j)
+        emb_i = stepwise_encode(model.enc, seqs)[0].value
+        emb_j = stepwise_encode(model.enc, arch_j)[0].value
+        want = np.where(np.array(want_equal)[:, None], emb_i, emb_i - emb_j)
+        np.testing.assert_allclose(feature.value, want, rtol=1e-12, atol=1e-12)
+
+    def test_one_padded_pass_per_lstm(self, monkeypatch):
+        # one encoder and one decoder pass, padded to the longest architecture,
+        # cover both sides of a pair batch
+        calls = []
+        real = necurve.layers.lstm_sequence
+
+        def counting(*args):
+            calls.append(args[0].shape)
+            return real(*args)
+
+        monkeypatch.setattr(necurve.layers, "lstm_sequence", counting)
+        rng = np.random.default_rng(12)
+        batch = make_batch(rng, batch=8)
+        mean, sd = training_stats(batch)
+        model = RelativeRanker(small_config(), domains=[0, 1, 2, 3], arch_mean=mean, arch_sd=sd)
+        out = model.distance(batch, train=True)
+        total_loss(ce_loss(out.delta, batch.labels), out.reconstruction, 0.1).backward()
+        assert len(calls) == 2
+        assert {shape[0] for shape in calls} == {3}
 
 
 class TestDomainEmbedding:

@@ -524,6 +524,34 @@ class TestPersistence:
                            + ".*finite"):
             read_records(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: data.update(architecture=[]), "architecture must be a nonempty list"),
+        (lambda data: data.update(architecture=[[4, 8], [8, 2, 1]]), "got [[4, 8], [8, 2, 1]]"),
+        (lambda data: data.update(architecture=[[4, 8], "82"]), "(in, out) integer pairs"),
+        (lambda data: data.update(architecture=[[4, 8.5]]), "(in, out) integer pairs"),
+        (lambda data: data.update(hyperparameters=data["hyperparameters"][:5]),
+         "hyperparameters of shape (5,), the first record's are (13,)"),
+    ])
+    def test_bad_metadata_names_line_and_model(self, tmp_path, edit, message):
+        def apply(data):
+            edit(data)
+            return json.dumps(data)
+
+        path, model_id = self.edited_records(tmp_path, 4, apply)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}, line 4, model {model_id}: ValueError: ") + ".*" + re.escape(message)):
+            read_records(path)
+
+    def test_repeated_job_and_model_names_both_lines(self, tmp_path):
+        path, _ = self.edited_records(tmp_path, 5, json.dumps)
+        lines = path.read_text().splitlines()
+        data = json.loads(lines[1])
+        path.write_text("\n".join(lines + [json.dumps(data)]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}, line {len(lines) + 1}, model {data['model_id']}: ValueError: "
+                f"job {data['job_id']}, model {data['model_id']} is already on line 2")):
+            read_records(path)
+
     def test_record_dict_schema(self):
         record = generate_dataset(small_dataset_config())[0]
         data = record_to_dict(record)
