@@ -469,13 +469,11 @@ def _standardize(x: np.ndarray, axes: tuple[int, ...], eps: float):
 
 
 def _standardize_backward(gy, xhat, inv, gain, axes):
-    """Gradients (input, gain, shift) of ``xhat * gain + shift``, the last two
-    in keepdims shape; through the batch statistics unless ``inv`` is None."""
+    """Gradients (input, gain, shift) of ``xhat * gain + shift`` through the
+    batch statistics, the last two in keepdims shape."""
     count = float(np.prod([xhat.shape[a] for a in axes]))
     g_shift = gy.sum(axis=axes, keepdims=True)
     g_gain = (gy * xhat).sum(axis=axes, keepdims=True)
-    if inv is None:
-        return gy * gain, g_gain, g_shift
     gx = xhat * (g_gain / count)
     np.subtract(gy, gx, out=gx)
     gx -= g_shift / count
@@ -483,25 +481,27 @@ def _standardize_backward(gy, xhat, inv, gain, axes):
     return gx, g_gain, g_shift
 
 
-def _causal_conv(x_cbt: np.ndarray, weights: Node, dilation: int, bias: Node | None):
-    """Im2col causal convolution of a channel-major (C, B, T) array.
+def _causal_conv(x_ctb: np.ndarray, weights: Node, dilation: int, bias: Node | None):
+    """Im2col causal convolution of a time-major (C, T, B) array.
 
-    Row ``i*C + c`` of the (used*C, B*T) column matrix is channel c shifted
-    right by ``dilation*i`` and zero-padded, for the ``used`` taps with
-    ``dilation*i < T``.  Returns the (O, B*T) GEMM output and its backward,
-    which adds the weight and bias gradients and returns the input's.
+    Row ``i*C + c`` of the (used*C, T*B) column matrix is channel c shifted
+    ``dilation*i`` steps later, one contiguous block, and zero-padded, for the
+    ``used`` taps with ``dilation*i < T``.  Returns the time-major (O, T*B)
+    GEMM output and its backward, which adds the weight and bias gradients
+    and returns the input's.
     """
-    if x_cbt.ndim != 3 or weights.value.ndim != 3 or dilation < 1:
+    if x_ctb.ndim != 3 or weights.value.ndim != 3 or dilation < 1:
         raise ValueError("causal convolution needs 3-D input, (O, C, K) weights, dilation >= 1")
-    channels, batch, length = x_cbt.shape
+    channels, length, batch = x_ctb.shape
     out_channels, in_channels, taps = weights.shape
     if channels != in_channels:
         raise ValueError(f"channel mismatch: input has {channels}, weights expect {in_channels}")
     used = min(taps, (length - 1) // dilation + 1)
-    columns = np.zeros((used, channels, batch, length))
+    columns = np.empty((used, channels, length, batch))
     for i in range(used):
-        columns[i, :, :, dilation * i:] = x_cbt[:, :, : length - dilation * i]
-    columns = columns.reshape(used * channels, batch * length)
+        columns[i, :, : dilation * i] = 0.0
+        columns[i, :, dilation * i:] = x_ctb[:, : length - dilation * i]
+    columns = columns.reshape(used * channels, length * batch)
     w_mat = weights.value[:, :, :used].transpose(0, 2, 1).reshape(out_channels, -1)
     z = w_mat @ columns
     if bias is not None:
@@ -513,9 +513,9 @@ def _causal_conv(x_cbt: np.ndarray, weights: Node, dilation: int, bias: Node | N
         gw = np.zeros(weights.shape)
         gw[:, :, :used] = (gz @ columns.T).reshape(out_channels, used, -1).transpose(0, 2, 1)
         weights._add_grad(gw)
-        g_columns = (w_mat.T @ gz).reshape(used, channels, batch, length)
+        g_columns = (w_mat.T @ gz).reshape(used, channels, length, batch)
         for i in range(1, used):
-            g_columns[0, :, :, : length - dilation * i] += g_columns[i, :, :, dilation * i:]
+            g_columns[0, :, : length - dilation * i] += g_columns[i, :, dilation * i:]
         return g_columns[0]
 
     return z, backward
@@ -528,21 +528,21 @@ def conv1d_causal(x: Node, weights: Node, dilation: int = 1, bias: Node | None =
     in_channels, taps).  Output at time t sums tap i against the input at
     time ``t - dilation*i``; positions before the start read as zero, so the
     output never looks ahead.  An optional (O,) ``bias`` is added to the GEMM
-    output in place.  This public op transposes to and from the channel-major
-    layout of ``_causal_conv``; ``layers.TcnEncoder`` stays channel-major and
-    runs each layer as one ``_conv_norm_relu`` node instead.
+    output in place.  This public op transposes to and from the time-major
+    (C, T, B) layout of ``_causal_conv``; ``layers.TcnEncoder`` stays
+    time-major and runs each layer as one ``_conv_norm_relu`` node instead.
     """
     if x.value.ndim != 3:
         raise ValueError("conv1d_causal expects (B, C, T) input and (O, C, K) weights")
     batch, _, length = x.shape
-    z, conv_backward = _causal_conv(x.value.transpose(1, 0, 2), weights, dilation, bias)
+    z, conv_backward = _causal_conv(x.value.transpose(1, 2, 0), weights, dilation, bias)
     parents = (x, weights) if bias is None else (x, weights, bias)
 
     def _backward(g):
-        gx = conv_backward(g.transpose(1, 0, 2).reshape(-1, batch * length))
-        x._add_grad(np.ascontiguousarray(gx.transpose(1, 0, 2)))
+        gx = conv_backward(g.transpose(1, 2, 0).reshape(-1, length * batch))
+        x._add_grad(np.ascontiguousarray(gx.transpose(2, 0, 1)))
 
-    y = np.ascontiguousarray(z.reshape(-1, batch, length).transpose(1, 0, 2))
+    y = np.ascontiguousarray(z.reshape(-1, length, batch).transpose(2, 0, 1))
     return _op(y, parents, _backward)
 
 
@@ -550,30 +550,35 @@ def _conv_norm_relu(x: Node, weights: Node, bias: Node, norm, dilation: int,
                     train: bool) -> Node:
     """One TCN layer, ``relu(norm(conv(x) + bias))``, as one tape node.
 
-    ``x`` is (C, B, T) and the output (O, B, T), so the (O, B*T) GEMM output
-    needs no transpose and batch statistics are contiguous row reductions.
-    ``norm`` is a ``layers.BatchNorm``: train mode standardizes by the batch
-    statistics and passes them to ``norm.update``, eval mode applies
-    ``norm.affine()``."""
+    ``x`` is time-major (C, T, B) and the output (O, T, B), so the (O, T*B)
+    GEMM output needs no transpose and batch statistics are contiguous row
+    reductions.  ``norm`` is a ``layers.BatchNorm``: train mode standardizes
+    by the batch statistics and passes them to ``norm.update``.  Eval mode
+    folds ``norm.affine()`` into the conv, ``relu((scale*w) * x + (scale*b +
+    offset))``, the folded weights and bias being taped ops, so the conv
+    output needs no further pass and taped and untaped eval agree bitwise."""
+    if not train:
+        scale, offset = norm.affine()
+        weights, bias = weights * scale.reshape(-1, 1, 1), bias * scale + offset
     z, conv_backward = _causal_conv(x.value, weights, dilation, bias)
-    _, batch, length = x.shape
+    _, length, batch = x.shape
     if train:
         xhat, inv, mu, var = _standardize(z, (1,), norm.eps)
         norm.update(mu, var)
-        scale, offset = norm.gain, norm.shift
-    else:
-        (xhat, inv), (scale, offset) = (z, None), norm.affine()
-    s = scale.value.reshape(-1, 1)
-    y = np.maximum(xhat * s + offset.value.reshape(-1, 1), 0.0)
+        s = norm.gain.value.reshape(-1, 1)
+        z = xhat * s + norm.shift.value.reshape(-1, 1)
+    y = np.maximum(z, 0.0, out=z)
 
     def _backward(g):
-        gy = np.where(y > 0.0, g.reshape(y.shape), 0.0)
-        gz, g_scale, g_shift = _standardize_backward(gy, xhat, inv, s, (1,))
-        scale._add_grad(g_scale.reshape(scale.shape))
-        offset._add_grad(g_shift.reshape(offset.shape))
+        gz = np.where(y > 0.0, g.reshape(y.shape), 0.0)
+        if train:
+            gz, g_gain, g_shift = _standardize_backward(gz, xhat, inv, s, (1,))
+            norm.gain._add_grad(g_gain.reshape(norm.gain.shape))
+            norm.shift._add_grad(g_shift.reshape(norm.shift.shape))
         x._add_grad(conv_backward(gz))
 
-    return _op(y.reshape(-1, batch, length), (x, weights, bias, scale, offset), _backward)
+    parents = (x, weights, bias) + ((norm.gain, norm.shift) if train else ())
+    return _op(y.reshape(-1, length, batch), parents, _backward)
 
 
 def lstm_sequence(x: Node, h0: Node, c0: Node, wx: Node, wh: Node, b: Node) -> Node:

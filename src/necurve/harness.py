@@ -46,11 +46,13 @@ CRITERIA = ("lne", "wne")
 
 
 class TrainingError(RuntimeError):
-    """Training could not proceed; carries the failing epoch."""
+    """Training could not proceed; carries, and names, the failing fold,
+    fraction, epoch and batch (epoch and batch count from 1, 0 is before)."""
 
-    def __init__(self, message: str, epoch: int):
-        super().__init__(message)
-        self.epoch = epoch
+    def __init__(self, message: str, fold: int, fraction: float, epoch: int, batch: int):
+        super().__init__(f"{message} at fold {fold}, fraction {fraction:g}, "
+                         f"epoch {epoch}, batch {batch}")
+        self.fold, self.fraction, self.epoch, self.batch = fold, fraction, epoch, batch
 
 
 class EvaluationError(ValueError):
@@ -402,14 +404,14 @@ def train(split: DatasetSplit, config: TrainConfig,
     Keeps the epoch with the best validation AUC (falls back to validation
     accuracy if the validation labels are single-class, and to the final
     epoch if the split has no validation pairs).  Deterministic given the
-    config seed.  Non-finite training loss aborts with the failing epoch.
+    config seed.  Non-finite training loss aborts, naming where.
     """
     if config.ranker == "greedy":
         raise ValueError("the greedy baseline has nothing to train")
-    if not split.train:
-        raise TrainingError("training split has no pairs", epoch=0)
     if fraction is None:
         fraction = config.fractions[-1]
+    if not split.train:
+        raise TrainingError("training split has no pairs", split.fold, fraction, 0, 0)
     curve_length = len(split.train[0].left.curve)
     n_obs = observed_count(curve_length, fraction)
     records = _unique_records(split.train)
@@ -437,7 +439,8 @@ def train(split: DatasetSplit, config: TrainConfig,
             loss = total_loss(ce_loss(out.delta, np.array([p.label for p in chunk])),
                               out.reconstruction, config.lam)
             if not np.isfinite(loss.value):
-                raise TrainingError(f"non-finite training loss at epoch {epoch}", epoch)
+                raise TrainingError("non-finite training loss", split.fold, fraction, epoch,
+                                    start // config.batch + 1)
             loss.backward()
             optimizer.step()
         if split.validation:

@@ -126,9 +126,10 @@ class TcnEncoder:
     """Stack of dilated causal convolutions ending in time-average pooling.
 
     Layer k uses dilation 2^k; each layer (conv, per-channel norm, ReLU) is
-    one ``_conv_norm_relu`` tape node on channel-major (C, B, T) activations,
-    transposed once on entry and once on exit.  Receptive field with kernel 3
-    and 4 layers: 1 + 2*(1+2+4+8) = 31 steps.
+    one ``_conv_norm_relu`` tape node on time-major (C, T, B) activations,
+    transposed once on entry and once on exit; in eval mode each layer folds
+    its norm into the conv.  Receptive field with kernel 3 and 4 layers:
+    1 + 2*(1+2+4+8) = 31 steps.
     """
 
     def __init__(self, params: dict[str, Node], name: str, in_channels: int,
@@ -152,17 +153,17 @@ class TcnEncoder:
         kernel = self.convs[0][0].shape[2]
         return 1 + (kernel - 1) * sum(self.dilations)
 
-    def _channel_major(self, x: Node, train: bool) -> Node:
-        """(B, C, T) -> (filters, B, T)."""
-        x = x.transpose((1, 0, 2))
+    def _time_major(self, x: Node, train: bool) -> Node:
+        """(B, C, T) -> (filters, T, B)."""
+        x = x.transpose((1, 2, 0))
         for (w, b), norm, dilation in zip(self.convs, self.norms, self.dilations):
             x = _conv_norm_relu(x, w, b, norm, dilation, train)
         return x
 
     def features_over_time(self, x: Node, train: bool) -> Node:
         """(B, C, T) -> (B, filters, T), pre-pooling activations."""
-        return self._channel_major(x, train).transpose((1, 0, 2))
+        return self._time_major(x, train).transpose((2, 0, 1))
 
     def __call__(self, x: Node, train: bool) -> Node:
         """(B, C, T) -> (B, filters)."""
-        return self._channel_major(x, train).mean(axis=2).T
+        return self._time_major(x, train).mean(axis=1).T

@@ -596,9 +596,19 @@ def record_from_dict(data: dict) -> ModelRecord:
         hyperparameters=np.array(data["hyperparameters"], dtype=np.float64),
         architecture=_architecture(data["architecture"]),
         domain_id=int(data["domain_id"]),
-        final_wne=data.get("final_wne"),
-        final_lne=data.get("final_lne"),
+        final_wne=_final(data, "final_wne"),
+        final_lne=_final(data, "final_lne"),
     )
+
+
+def _final(data: dict, key: str) -> float | None:
+    """A record's final NE: absent, null or a finite number (not a bool)."""
+    value = data.get(key)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{key} must be null or a finite number, got {value!r}")
+    return float(value)
 
 
 def _architecture(layers) -> tuple[tuple[int, int], ...]:

@@ -592,14 +592,14 @@ def unfused_tcn_layer(x, w, b, stats, train, dilation, gy):
 
 
 def fused_tcn_layer(x, w, b, stats, train, dilation, gy):
-    """``_conv_norm_relu`` on the channel-major input, mapped back to the
-    (B, C, T) layout of ``unfused_tcn_layer``."""
+    """``_conv_norm_relu`` on the time-major (C, T, B) input, mapped back to
+    the (B, C, T) layout of ``unfused_tcn_layer``."""
     norm = tcn_layer_norm(*stats)
-    xn, wn, bn = Node(np.ascontiguousarray(x.transpose(1, 0, 2))), Node(w), Node(b)
+    xn, wn, bn = Node(np.ascontiguousarray(x.transpose(1, 2, 0))), Node(w), Node(b)
     out = _conv_norm_relu(xn, wn, bn, norm, dilation, train)
-    (out * gy.transpose(1, 0, 2)).sum().backward()
-    grads = [xn.grad.transpose(1, 0, 2), wn.grad, bn.grad, norm.gain.grad, norm.shift.grad]
-    return out.value.transpose(1, 0, 2), (norm.running_mean, norm.running_var), grads
+    (out * gy.transpose(1, 2, 0)).sum().backward()
+    grads = [xn.grad.transpose(2, 0, 1), wn.grad, bn.grad, norm.gain.grad, norm.shift.grad]
+    return out.value.transpose(2, 0, 1), (norm.running_mean, norm.running_var), grads
 
 
 def tcn_layer_case(rng, batch, channels, out_channels, length, taps):
@@ -660,7 +660,7 @@ class TestConvNormReluReference:
     def test_single_batch_element_rejected_in_train_mode(self):
         x, w, b, stats = tcn_layer_case(np.random.default_rng(0), 1, 2, 3, 1, 2)
         with pytest.raises(ValueError, match="2 elements"):
-            _conv_norm_relu(Node(x.transpose(1, 0, 2)), Node(w), Node(b),
+            _conv_norm_relu(Node(x.transpose(1, 2, 0)), Node(w), Node(b),
                             tcn_layer_norm(*stats), 1, True)
 
     def test_grad_check_each_input(self):
@@ -669,8 +669,8 @@ class TestConvNormReluReference:
             train = trial % 2 == 0
             dilation = int(rng.integers(1, 4))
             x, w, b, stats = tcn_layer_case(rng, 2, 2, 3, 5, 2)
-            inputs = [np.ascontiguousarray(x.transpose(1, 0, 2)), w, b, stats[0], stats[1]]
-            s = rng.normal(size=(3, 2, 5))
+            inputs = [np.ascontiguousarray(x.transpose(1, 2, 0)), w, b, stats[0], stats[1]]
+            s = rng.normal(size=(3, 2, 5)).transpose(0, 2, 1)  # (O, B, T) weights, time-major
             for k, point in enumerate(inputs):
 
                 def fn(v, k=k):
@@ -679,6 +679,77 @@ class TestConvNormReluReference:
                     norm = tcn_layer_norm(*stats)
                     norm.gain, norm.shift = args[3], args[4]
                     return (_conv_norm_relu(*args[:3], norm, dilation, train) * s).sum()
+
+                assert grad_check(fn, point, EPS) <= TOL
+
+
+def offset_case(rng, batch, channels, out_channels, length, taps, mean):
+    """``tcn_layer_case`` with the running mean and the conv bias both near
+    ``mean``, so the eval-mode offset cancels a term ``mean`` times the
+    output's size."""
+    x, w, b, (gain, shift, running_mean, running_var) = tcn_layer_case(
+        rng, batch, channels, out_channels, length, taps)
+    running_mean = running_mean + mean
+    return x, w, b + running_mean, (gain, shift, running_mean, running_var)
+
+
+class TestConvNormReluEvalFold:
+    """Eval mode folds the norm's scale and offset into the conv's weights and
+    bias; this holds it to the unfolded ``relu(z * scale + offset)``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        batch=st.integers(1, 4),
+        channels=st.integers(1, 4),
+        out_channels=st.integers(1, 4),
+        length=st.integers(1, 12),
+        taps=st.integers(1, 5),
+        dilation=st.integers(1, 8),
+        mean=st.sampled_from([0.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(batch=2, channels=3, out_channels=2, length=7, taps=3, dilation=2,
+             mean=1e3, seed=0)
+    @example(batch=1, channels=1, out_channels=3, length=1, taps=2, dilation=1,
+             mean=0.0, seed=1)
+    def test_taped_and_untaped_match_unfolded_affine(
+        self, batch, channels, out_channels, length, taps, dilation, mean, seed
+    ):
+        rng = np.random.default_rng(seed)
+        x, w, b, stats = offset_case(rng, batch, channels, out_channels, length, taps, mean)
+        gain, shift, running_mean, running_var = stats
+        z = conv1d_causal(Node(x), Node(w), dilation, bias=Node(b)).value
+        scale = gain / np.sqrt(running_var + 1e-5)
+        offset = shift - scale * running_mean
+        want = np.maximum(z * scale[:, None] + offset[:, None], 0.0)
+
+        def folded():
+            out = _conv_norm_relu(Node(np.ascontiguousarray(x.transpose(1, 2, 0))), Node(w),
+                                  Node(b), tcn_layer_norm(*stats), dilation, False)
+            return out.value.transpose(2, 0, 1)
+
+        taped = folded()
+        with no_grad():
+            untaped = folded()
+        np.testing.assert_array_equal(untaped, taped)
+        np.testing.assert_allclose(taped, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("mean", [0.0, 1e3])
+    def test_grad_check_each_input(self, mean):
+        rng = np.random.default_rng(27)
+        for _ in range(TRIALS // 10):
+            dilation = int(rng.integers(1, 4))
+            x, w, b, stats = offset_case(rng, 2, 2, 3, 5, 2, mean)
+            inputs = [np.ascontiguousarray(x.transpose(1, 2, 0)), w, b, stats[0], stats[1]]
+            s = rng.normal(size=(3, 5, 2))
+            for k, point in enumerate(inputs):
+
+                def fn(v, k=k):
+                    args = [Node(a) for a in inputs]
+                    args[k] = v
+                    norm = tcn_layer_norm(*stats)
+                    norm.gain, norm.shift = args[3], args[4]
+                    return (_conv_norm_relu(*args[:3], norm, dilation, False) * s).sum()
 
                 assert grad_check(fn, point, EPS) <= TOL
 

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from necurve import harness
 from necurve.act import MASK_LITERAL, MASK_STRICT
 from necurve.harness import (
     _gather,
@@ -288,6 +289,23 @@ class TestTrain:
         with np.errstate(invalid="ignore"), pytest.raises(TrainingError) as err:
             train(split, small_train_config())
         assert err.value.epoch == 1
+
+    def test_non_finite_loss_names_fold_fraction_epoch_and_batch(self, splits, monkeypatch):
+        # the loss of the second batch of epoch 2 turns NaN
+        config = small_train_config(max_pairs_per_epoch=48)  # 3 batches of 16 per epoch
+        calls, total_loss = [], harness.total_loss
+
+        def poisoned(*args):
+            calls.append(None)
+            loss = total_loss(*args)
+            return loss * math.nan if len(calls) == 5 else loss
+
+        monkeypatch.setattr(harness, "total_loss", poisoned)
+        with pytest.raises(TrainingError, match=re.escape(
+                "non-finite training loss at fold 1, fraction 0.4, epoch 2, batch 2")) as err:
+            train(splits[1], config, fraction=0.4)
+        assert (err.value.fold, err.value.fraction, err.value.epoch, err.value.batch) == (
+            1, 0.4, 2, 2)
 
     def test_no_validation_keeps_last_epoch(self, splits):
         split = DatasetSplit(

@@ -542,6 +542,24 @@ class TestPersistence:
                 f"{path}, line 4, model {model_id}: ValueError: ") + ".*" + re.escape(message)):
             read_records(path)
 
+    @pytest.mark.parametrize("key", ["final_wne", "final_lne"])
+    @pytest.mark.parametrize("value, shown", [(True, "True"), ("0.5", "'0.5'"),
+                                              (math.nan, "nan")])
+    def test_final_that_is_not_a_finite_number_is_named(self, tmp_path, key, value, shown):
+        path, model_id = self.edited_records(tmp_path, 3,
+                                             lambda data: json.dumps({**data, key: value}))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}, line 3, model {model_id}: ValueError: "
+                f"{key} must be null or a finite number, got {shown}")):
+            read_records(path)
+
+    def test_null_finals_read_as_none(self, tmp_path):
+        path, model_id = self.edited_records(
+            tmp_path, 3, lambda data: json.dumps({**data, "final_wne": None, "final_lne": None}))
+        record = read_records(path)[2]
+        assert record.model_id == model_id
+        assert record.final_wne is None and record.final_lne is None
+
     def test_repeated_job_and_model_names_both_lines(self, tmp_path):
         path, _ = self.edited_records(tmp_path, 5, json.dumps)
         lines = path.read_text().splitlines()
